@@ -30,8 +30,12 @@ JobData extract_job(const transport::RawArchive& archive,
   JobData data;
   data.acct = acct;
   for (const auto& hostname : acct.hostnames) {
-    auto series = slice_log(archive.log(hostname), acct.jobid);
-    if (!series.records.empty()) data.hosts.push_back(std::move(series));
+    // Runs under the archive lock: slice_log must not call back into the
+    // archive.
+    archive.visit_log(hostname, [&](const collect::HostLog& log) {
+      auto series = slice_log(log, acct.jobid);
+      if (!series.records.empty()) data.hosts.push_back(std::move(series));
+    });
   }
   return data;
 }

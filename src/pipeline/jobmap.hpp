@@ -31,7 +31,11 @@ struct JobData {
 
 /// Extracts a job's records from the central archive using the accounting
 /// record's host list. Hosts with no matching records are omitted (e.g. a
-/// crashed node whose cron-mode data was lost).
+/// crashed node whose cron-mode data was lost), as are hosts the archive
+/// does not know. Reads one host's log at a time in place, under the
+/// archive's lock (RawArchive::visit_log), and copies only the job's
+/// records: a concurrent daemon-mode writer waits for one host's scan, not
+/// for a copy of that host's whole log.
 JobData extract_job(const transport::RawArchive& archive,
                     const workload::AccountingRecord& acct);
 

@@ -21,10 +21,12 @@
 
 #include "collect/registry.hpp"
 #include "core/online.hpp"
+#include "pipeline/jobmap.hpp"
 #include "simhw/node.hpp"
 #include "transport/archive.hpp"
 #include "transport/broker.hpp"
 #include "util/log.hpp"
+#include "workload/jobs.hpp"
 
 namespace {
 
@@ -225,19 +227,39 @@ TEST(ConcurrencyAudit, OnlineAnalyzerConcurrentChunks) {
 
 // ---------------------------------------------------------------------------
 // RawArchive: daemon-style appends from several threads racing log()/
-// hosts()/total_records()/latency() snapshot reads.
+// hosts()/total_records()/latency() snapshot reads and in-place job
+// extraction (pipeline::extract_job reads each host's log under the
+// archive lock). Even records belong to job kJob, odd ones to another.
 TEST(ConcurrencyAudit, RawArchiveAppendVsSnapshot) {
   tacc::transport::RawArchive archive;
   constexpr int kWriters = 4;
   constexpr int kRecords = 200;
+  constexpr long kJob = 42;
+
+  tacc::workload::AccountingRecord acct;
+  acct.jobid = kJob;
+  for (int w = 0; w < kWriters; ++w) {
+    acct.hostnames.push_back("n" + std::to_string(w));
+  }
 
   std::atomic<bool> stop{false};
-  std::thread reader([&archive, &stop] {
+  std::thread reader([&archive, &stop, &acct] {
     while (!stop.load()) {
       for (const auto& host : archive.hosts()) {
         const auto log = archive.log(host);
         // Snapshot consistency: parallel arrays stay in lockstep.
         ASSERT_LE(log.records.size(), static_cast<std::size_t>(kRecords));
+      }
+      const auto job = tacc::pipeline::extract_job(archive, acct);
+      for (const auto& series : job.hosts) {
+        ASSERT_LE(series.records.size(),
+                  static_cast<std::size_t>(kRecords / 2));
+        for (std::size_t i = 0; i < series.records.size(); ++i) {
+          ASSERT_EQ(series.records[i].jobids, std::vector<long>{kJob});
+          if (i > 0) {
+            ASSERT_LE(series.records[i - 1].time, series.records[i].time);
+          }
+        }
       }
       (void)archive.total_records();
       (void)archive.latency();
@@ -254,6 +276,7 @@ TEST(ConcurrencyAudit, RawArchiveAppendVsSnapshot) {
       for (int i = 0; i < kRecords; ++i) {
         tacc::collect::Record rec;
         rec.time = static_cast<tacc::util::SimTime>(i) * tacc::util::kSecond;
+        rec.jobids = {i % 2 == 0 ? kJob : kJob + 1};
         archive.append(host, rec, rec.time + tacc::util::kSecond);
       }
     });
@@ -265,6 +288,11 @@ TEST(ConcurrencyAudit, RawArchiveAppendVsSnapshot) {
   EXPECT_EQ(archive.total_records(),
             static_cast<std::size_t>(kWriters * kRecords));
   EXPECT_DOUBLE_EQ(archive.latency().mean(), 1.0);
+  const auto job = tacc::pipeline::extract_job(archive, acct);
+  ASSERT_EQ(job.hosts.size(), static_cast<std::size_t>(kWriters));
+  for (const auto& series : job.hosts) {
+    EXPECT_EQ(series.records.size(), static_cast<std::size_t>(kRecords / 2));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,14 +2,18 @@
 // SAME records (the demand engine is deterministic and time-indexed), just
 // at different times and with different loss behavior — so job metrics
 // computed from either archive must agree exactly. Also: spooling an
-// archive to disk and re-ingesting it must be metric-preserving.
+// archive to disk and re-ingesting it must be metric-preserving, and
+// extracting a job from the archive in place must match extracting it from
+// snapshots of the host logs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 
 #include "core/monitor.hpp"
 #include "pipeline/ingest.hpp"
+#include "pipeline/jobmap.hpp"
 #include "portal/views.hpp"
 #include "transport/spool.hpp"
 #include "xalt/xalt.hpp"
@@ -113,6 +117,90 @@ TEST(TransportEquivalence, SpoolRoundTripPreservesMetrics) {
       workload::to_accounting(test_job(), {"c400-001", "c400-002"}));
   expect_same(direct, compute_metrics(data));
   std::filesystem::remove_all(root);
+}
+
+// extract_job reads each host's log in place in the archive; it must give
+// exactly what slicing snapshots of the same logs gives. The archive has a
+// node shared by two jobs, out-of-order appends, a listed host with no
+// records for the job, a listed host the archive does not know, and a host
+// with the job's records that the accounting does not list.
+TEST(TransportEquivalence, ArchiveExtractionMatchesSnapshotExtraction) {
+  const collect::Schema cpu("cpu", {{"user", true, 64, "jiffies", 1.0}});
+  const collect::Schema llite("llite",
+                              {{"read_bytes", true, 64, "bytes", 1.0}});
+  transport::RawArchive archive;
+  archive.add_header("n1", "hsw", {cpu});
+  archive.add_header("n2", "skx", {cpu, llite});
+  archive.add_header("n3", "hsw", {cpu});
+  archive.add_header("n4", "hsw", {cpu});
+  const auto append = [&archive](const std::string& host, long seconds,
+                                 std::vector<long> jobids) {
+    collect::Record record;
+    record.time = kStart + seconds * util::kSecond;
+    record.jobids = std::move(jobids);
+    record.blocks.push_back(
+        {"cpu", "0", {static_cast<std::uint64_t>(seconds)}});
+    archive.append(host, record, record.time);
+  };
+  append("n1", 600, {7, 8});
+  append("n1", 0, {7});
+  append("n1", 1200, {8});
+  append("n1", 300, {7, 8});
+  append("n2", 900, {7});
+  append("n2", 300, {7});
+  append("n2", 600, {});
+  append("n2", 0, {7});
+  append("n3", 300, {8});
+  append("n3", 0, {8});
+  append("n4", 0, {7});
+
+  struct Case {
+    long jobid;
+    std::vector<std::string> hostnames;
+    // Wanted hosts in accounting order, each with its record times (s).
+    std::vector<std::pair<std::string, std::vector<long>>> want;
+  };
+  const std::vector<Case> cases = {
+      {7,
+       {"n2", "ghost", "n3", "n1"},
+       {{"n2", {0, 300, 900}}, {"n1", {0, 300, 600}}}},
+      {8, {"n1", "n3"}, {{"n1", {300, 600, 1200}}, {"n3", {0, 300}}}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.jobid);
+    workload::AccountingRecord acct;
+    acct.jobid = c.jobid;
+    acct.hostnames = c.hostnames;
+    std::vector<collect::HostLog> logs;
+    for (const auto& host : acct.hostnames) logs.push_back(archive.log(host));
+    logs.push_back(archive.log("n4"));
+
+    const auto in_place = pipeline::extract_job(archive, acct);
+    const auto snapshot = pipeline::extract_job(logs, acct);
+    EXPECT_EQ(in_place.acct.jobid, c.jobid);
+    ASSERT_EQ(in_place.hosts.size(), c.want.size());
+    ASSERT_EQ(snapshot.hosts.size(), c.want.size());
+    for (std::size_t h = 0; h < c.want.size(); ++h) {
+      const auto& got = in_place.hosts[h];
+      const auto& ref = snapshot.hosts[h];
+      EXPECT_EQ(got.hostname, c.want[h].first);
+      EXPECT_EQ(ref.hostname, got.hostname);
+      EXPECT_EQ(ref.arch, got.arch);
+      ASSERT_EQ(ref.schemas.size(), got.schemas.size());
+      for (std::size_t s = 0; s < got.schemas.size(); ++s) {
+        EXPECT_EQ(ref.schemas[s].spec_line(), got.schemas[s].spec_line());
+      }
+      EXPECT_EQ(ref.records, got.records);
+      std::vector<long> times;
+      for (const auto& record : got.records) {
+        times.push_back((record.time - kStart) / util::kSecond);
+        EXPECT_NE(std::find(record.jobids.begin(), record.jobids.end(),
+                            c.jobid),
+                  record.jobids.end());
+      }
+      EXPECT_EQ(times, c.want[h].second);
+    }
+  }
 }
 
 TEST(TransportEquivalence, DetailViewWithXaltEnvironment) {
