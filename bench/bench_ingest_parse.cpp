@@ -9,7 +9,7 @@
 //   * HostLog::parse — today's wrapper over the view parser, still
 //     materializing Record/RawBlock vectors;
 //   * view parse — collect::RecordViewParser streaming into a counting
-//     sink: the zero-materialization ceiling the staged pipeline runs at.
+//     sink: the zero-materialization ceiling the ingest pipeline runs at.
 //
 // Two gates fail the run (exit 1) so CI bench-smoke catches regressions:
 //   * the view parser — the parse stage the ingest pipeline actually runs
@@ -281,7 +281,7 @@ void report_end_to_end() {
   monitor.drain();
   const auto& archive = monitor.archive();
 
-  const auto archive_mpoints = [&](bool seal, std::size_t stage_threads) {
+  const auto archive_mpoints = [&](bool seal) {
     std::size_t points = 0;
     const double s = best_of(reps, [&] {
       tsdb::StoreOptions so;
@@ -289,17 +289,13 @@ void report_end_to_end() {
       tsdb::Store store(so);
       pipeline::TsdbIngestOptions io;
       io.seal = seal;
-      io.stage_threads = stage_threads;
       points = pipeline::ingest_archive_tsdb(store, archive, nullptr, io)
                    .points;
     });
     return std::pair{static_cast<double>(points) / s / 1e6, points};
   };
-  const auto [raw_mpps, points] = archive_mpoints(false, 0);
-  const auto [sealed_mpps, sealed_points] = archive_mpoints(true, 0);
-  const auto [staged_mpps, staged_points] = archive_mpoints(true, 1);
-  (void)sealed_points;
-  (void)staged_points;
+  const auto [raw_mpps, points] = archive_mpoints(false);
+  const double sealed_mpps = archive_mpoints(true).first;
 
   // Text -> tsdb: the full pipeline from raw bytes (tokenize, validate,
   // stage, put), scalar vs detected SIMD.
@@ -325,9 +321,6 @@ void report_end_to_end() {
         bench::num(raw_mpps, 2) + " Mpoints/s", "");
   t.row("archive -> tsdb, sealed", "> 4.84 Mpoints/s (pre-PR)",
         bench::num(sealed_mpps, 2) + " Mpoints/s", "");
-  t.row("archive -> tsdb, sealed, 1 put thread", "-",
-        bench::num(staged_mpps, 2) + " Mpoints/s",
-        "overlaps build with Store::put_batches");
   t.row("text -> tsdb, scalar", "-",
         bench::num(text_scalar_mpps, 2) + " Mpoints/s", "");
   t.row("text -> tsdb, " + std::string(util::scan_mode_name(simd)), "-",
@@ -338,7 +331,6 @@ void report_end_to_end() {
   json.put("archive.points", points);
   json.put("e2e.raw_mpoints_per_s", raw_mpps);
   json.put("e2e.sealed_mpoints_per_s", sealed_mpps);
-  json.put("e2e.staged1_sealed_mpoints_per_s", staged_mpps);
   json.put("text.scalar_mpoints_per_s", text_scalar_mpps);
   json.put("text.simd_mpoints_per_s", text_simd_mpps);
   json.write(bench::bench_json_path("BENCH_ingest.json"));

@@ -81,8 +81,8 @@ inline std::optional<std::uint64_t> parse_counter(
 class RecordViewParser {
  public:
   struct Options {
-    /// Classify kernel for the line scanner (Auto = TACC_SIMD env knob,
-    /// then the widest the CPU supports).
+    /// Classify kernel for the line scanner (Auto = the widest the CPU
+    /// supports).
     util::ScanMode scan = util::ScanMode::Auto;
     /// Arena slab size for the per-record numeric payloads.
     std::size_t arena_chunk = util::Arena::kDefaultChunkBytes;

@@ -17,7 +17,6 @@
 #include "pipeline/metrics.hpp"
 #include "transport/archive.hpp"
 #include "tsdb/store.hpp"
-#include "util/arena.hpp"
 #include "util/simd_scan.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/jobs.hpp"
@@ -47,41 +46,19 @@ class PipelineMetrics;  // pipeline/pipeline_metrics.hpp
 
 /// Tuning knobs for the archive -> time-series load.
 struct TsdbIngestOptions {
-  /// Points staged per worker before a bulk flush via Store::put_batches.
-  /// Bigger batches amortize shard locking; smaller ones bound worker
+  /// Points staged per host before a bulk flush via Store::put_batches.
+  /// Bigger batches amortize shard locking; smaller ones bound staging
   /// memory. Default: 4096.
   std::size_t batch_points = 4096;
-  /// Prefix for generated metric names: <prefix>.<type>.<event>.
-  std::string metric_prefix = "taccstats";
   /// Seal every series after the load (Store::seal_all), compressing the
   /// archive into immutable blocks and enabling summary skips and rollup
   /// fast paths on the read side. Disable only when more appends to the
   /// same series follow immediately (sealing then just cuts blocks short).
   bool seal = true;
-  /// After a bulk load into a durable store, call Store::flush(): the
-  /// sealed blocks move into a segment file and the WALs rotate down to
-  /// small checkpoints, so the load is served from mmap-backed blocks and
-  /// survives a crash without replay. No effect on in-memory stores.
-  bool flush = false;
-  /// Put-stage threads for the serial (pool == nullptr) pipeline: 0 calls
-  /// Store::put_batches inline with batch building; N >= 1 hands flushed
-  /// batch groups to N consumer threads over bounded ring queues, so
-  /// decode/build overlaps store insertion. Ignored when hosts are
-  /// already fanned out across a thread pool. Any value produces stores
-  /// with byte-identical query results (put order is irrelevant to the
-  /// store).
-  std::size_t stage_threads = 0;
-  /// Capacity, in flushed batch groups, of each stage ring queue. Bounds
-  /// producer run-ahead (memory) when the store is the slower stage.
-  std::size_t queue_depth = 8;
   /// SIMD mode for text-ingest tokenization (ingest_text_tsdb); Auto
-  /// defers to the TACC_SIMD env knob, then CPU detection.
+  /// picks the widest kernel the CPU supports.
   util::ScanMode scan = util::ScanMode::Auto;
-  /// Arena slab size for the text-ingest record parser.
-  std::size_t arena_chunk = util::Arena::kDefaultChunkBytes;
-  /// Per-stage counters (pipeline/pipeline_metrics.hpp). nullptr falls
-  /// back to the TACC_PROFILE-gated process-wide instance, which is
-  /// itself null (counters off) unless that env knob is set.
+  /// Per-stage counters (pipeline/pipeline_metrics.hpp); nullptr = none.
   PipelineMetrics* metrics = nullptr;
 };
 
@@ -94,7 +71,7 @@ struct TsdbIngestStats {
 /// Loads every host's raw counter stream from the archive into the
 /// time-series store: one series per (schema type, device, event) per
 /// host — the paper's OpenTSDB tag tuple — with the metric named
-/// <prefix>.<type>.<event> and tags {host, type, device, event}. Values of
+/// taccstats.<type>.<event> and tags {host, type, device, event}. Values of
 /// the same event across a host's devices stay separate series, so any
 /// tag subset can still be aggregated at query time.
 ///
@@ -118,8 +95,7 @@ TsdbIngestStats ingest_archive_tsdb(tsdb::Store& store,
 /// tokenization, arena-backed values) directly into staged series
 /// batches. Series naming/tagging matches ingest_archive_tsdb, so a store
 /// loaded from text and one loaded from the equivalent archived log have
-/// byte-identical query results — as do runs with any scan mode or
-/// stage_threads value.
+/// byte-identical query results — as do runs with any scan mode.
 ///
 /// Throws std::invalid_argument on malformed input (same messages as
 /// HostLog::parse). Points flushed before the bad line are already in the

@@ -1,8 +1,5 @@
 #include "pipeline/pipeline_metrics.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace tacc::pipeline {
 
 PipelineMetricsSnapshot PipelineMetrics::snapshot() const noexcept {
@@ -15,7 +12,6 @@ PipelineMetricsSnapshot PipelineMetrics::snapshot() const noexcept {
   s.parse_time_ns = parse_time_ns_.load(std::memory_order_relaxed);
   s.build_time_ns = build_time_ns_.load(std::memory_order_relaxed);
   s.put_time_ns = put_time_ns_.load(std::memory_order_relaxed);
-  s.queue_wait_ns = queue_wait_ns_.load(std::memory_order_relaxed);
   s.arena_resizes = arena_resizes_.load(std::memory_order_relaxed);
   s.allocations = allocations_.load(std::memory_order_relaxed);
   return s;
@@ -30,46 +26,8 @@ void PipelineMetrics::reset() noexcept {
   parse_time_ns_.store(0, std::memory_order_relaxed);
   build_time_ns_.store(0, std::memory_order_relaxed);
   put_time_ns_.store(0, std::memory_order_relaxed);
-  queue_wait_ns_.store(0, std::memory_order_relaxed);
   arena_resizes_.store(0, std::memory_order_relaxed);
   allocations_.store(0, std::memory_order_relaxed);
-}
-
-bool profile_enabled() noexcept {
-  static const bool enabled = [] {
-    const char* env = std::getenv("TACC_PROFILE");
-    return env != nullptr && env[0] != '\0';
-  }();
-  return enabled;
-}
-
-PipelineMetrics* profile_metrics() noexcept {
-  static PipelineMetrics metrics;
-  return profile_enabled() ? &metrics : nullptr;
-}
-
-std::string format_pipeline_metrics(const PipelineMetricsSnapshot& s) {
-  char buf[128];
-  std::string out;
-  const auto row = [&](const char* name, std::uint64_t value,
-                       const char* unit) {
-    std::snprintf(buf, sizeof(buf), "  %-16s %12llu %s\n", name,
-                  static_cast<unsigned long long>(value), unit);
-    out += buf;
-  };
-  out += "ingest pipeline:\n";
-  row("bytes_read", s.bytes_read, "B");
-  row("lines", s.lines, "");
-  row("records", s.records, "");
-  row("points", s.points, "");
-  row("batches", s.batches, "");
-  row("parse_time", s.parse_time_ns, "ns");
-  row("build_time", s.build_time_ns, "ns");
-  row("put_time", s.put_time_ns, "ns");
-  row("queue_wait", s.queue_wait_ns, "ns");
-  row("arena_resizes", s.arena_resizes, "");
-  row("allocations", s.allocations, "");
-  return out;
 }
 
 }  // namespace tacc::pipeline

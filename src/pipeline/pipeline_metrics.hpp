@@ -1,21 +1,17 @@
 // Per-stage counters for the ingest pipeline (read -> parse -> batch-build
-// -> tsdb put), collected only when profiling is requested so the hot path
-// pays nothing by default.
+// -> tsdb put), collected only when a caller passes a PipelineMetrics*
+// through TsdbIngestOptions::metrics, so the hot path pays nothing by
+// default.
 //
-// Counters are relaxed atomics because staged ingest splits the stages
-// across threads (producer tokenizes/builds, consumer puts); each counter
+// Counters are relaxed atomics because the pool fan-out of
+// ingest_archive_tsdb has several workers adding to one sink; each counter
 // is a monotonic sum, so relaxed ordering is exact for the final snapshot
 // taken after join. The repo linter's TS001 allowlist records every atomic
 // member with this reason.
-//
-// Enabling: pass a PipelineMetrics* through TsdbIngestOptions::metrics, or
-// set the TACC_PROFILE env knob (any non-empty value) to route into the
-// process-wide instance from profile_metrics().
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 namespace tacc::pipeline {
 
@@ -29,7 +25,6 @@ struct PipelineMetricsSnapshot {
   std::uint64_t parse_time_ns = 0;   // tokenize + decode stage time
   std::uint64_t build_time_ns = 0;   // batch staging time
   std::uint64_t put_time_ns = 0;     // Store::put_batches time
-  std::uint64_t queue_wait_ns = 0;   // producer+consumer stalls on the ring
   std::uint64_t arena_resizes = 0;   // arena slab growths (0 = steady state)
   std::uint64_t allocations = 0;     // heap allocs observed in parse stage
 };
@@ -45,13 +40,12 @@ class PipelineMetrics {
   void add_parse_time_ns(std::uint64_t n) noexcept { add(parse_time_ns_, n); }
   void add_build_time_ns(std::uint64_t n) noexcept { add(build_time_ns_, n); }
   void add_put_time_ns(std::uint64_t n) noexcept { add(put_time_ns_, n); }
-  void add_queue_wait_ns(std::uint64_t n) noexcept { add(queue_wait_ns_, n); }
   void add_arena_resizes(std::uint64_t n) noexcept { add(arena_resizes_, n); }
   void add_allocations(std::uint64_t n) noexcept { add(allocations_, n); }
 
   PipelineMetricsSnapshot snapshot() const noexcept;
 
-  /// Zeroes every counter (tests reuse the global instance).
+  /// Zeroes every counter.
   void reset() noexcept;
 
  private:
@@ -67,26 +61,8 @@ class PipelineMetrics {
   std::atomic<std::uint64_t> parse_time_ns_{0};
   std::atomic<std::uint64_t> build_time_ns_{0};
   std::atomic<std::uint64_t> put_time_ns_{0};
-  std::atomic<std::uint64_t> queue_wait_ns_{0};
   std::atomic<std::uint64_t> arena_resizes_{0};
   std::atomic<std::uint64_t> allocations_{0};
 };
-
-/// True when the TACC_PROFILE env knob is set to a non-empty value.
-/// Read once per process.
-///
-/// Determinism audit (DT001): allowlisted — the knob only toggles counter
-/// collection and a summary line; it never changes parsed logs, archive
-/// bytes, or query results.
-bool profile_enabled() noexcept;
-
-/// The process-wide metrics instance used when TACC_PROFILE is set and the
-/// caller did not supply one. Returns nullptr when profiling is off, so
-/// call sites can do `if (auto* m = profile_metrics()) ...`.
-PipelineMetrics* profile_metrics() noexcept;
-
-/// Renders a snapshot as an aligned human-readable table (one counter per
-/// line) for TACC_PROFILE summary output and tests.
-std::string format_pipeline_metrics(const PipelineMetricsSnapshot& s);
 
 }  // namespace tacc::pipeline

@@ -1,7 +1,6 @@
 #include "util/simd_scan.hpp"
 
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -109,16 +108,6 @@ ScanMode resolve_scan_mode(ScanMode requested) noexcept {
   return mode_rank(requested) <= mode_rank(best) ? requested : best;
 }
 
-ScanMode scan_mode_from_env() noexcept {
-  const char* env = std::getenv("TACC_SIMD");
-  if (env == nullptr) return ScanMode::Auto;
-  const std::string_view v = env;
-  if (v == "scalar") return ScanMode::Scalar;
-  if (v == "sse2") return ScanMode::Sse2;
-  if (v == "avx2") return ScanMode::Avx2;
-  return ScanMode::Auto;
-}
-
 std::string_view scan_mode_name(ScanMode mode) noexcept {
   switch (mode) {
     case ScanMode::Scalar:
@@ -148,8 +137,7 @@ ScanClassifyFn scan_classify_fn(ScanMode mode) noexcept {
 SimdScanner::SimdScanner(std::string_view text, ScanMode mode) noexcept
     : data_(text.data()),
       size_(text.size()),
-      mode_(resolve_scan_mode(mode == ScanMode::Auto ? scan_mode_from_env()
-                                                     : mode)) {
+      mode_(resolve_scan_mode(mode)) {
   classify_ = scan_classify_fn(mode_);
 }
 

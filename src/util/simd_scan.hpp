@@ -13,10 +13,9 @@
 // property test asserts it on seeded random inputs).
 //
 // Mode selection: the widest kernel the CPU supports is picked at runtime
-// (ScanMode::Auto); the TACC_SIMD env knob ("scalar", "sse2", "avx2",
-// "auto") forces a mode so the fallback paths stay tested on AVX2
-// hardware. Forcing a mode the CPU lacks falls back to the widest
-// supported one.
+// (ScanMode::Auto); callers may force a mode, which keeps the fallback
+// paths tested on AVX2 hardware. Forcing a mode the CPU lacks falls back
+// to the widest supported one.
 //
 // Thread-safety: a SimdScanner instance is single-threaded (it is a
 // cursor); the mode-detection helpers are safe from any thread.
@@ -37,14 +36,6 @@ ScanMode detected_scan_mode() noexcept;
 /// Resolves Auto to the detected mode and clamps a forced mode the CPU
 /// cannot run down to the widest supported one.
 ScanMode resolve_scan_mode(ScanMode requested) noexcept;
-
-/// Reads the TACC_SIMD env knob ("scalar" | "sse2" | "avx2" | "auto",
-/// case-sensitive); anything absent or unrecognized is Auto.
-///
-/// Determinism audit (DT001): allowlisted — the mode changes which
-/// classify kernel runs, never the scanned spans (property-tested
-/// byte-identical), so seeded results are mode-independent.
-ScanMode scan_mode_from_env() noexcept;
 
 /// Human-readable mode name ("scalar", "sse2", "avx2").
 std::string_view scan_mode_name(ScanMode mode) noexcept;

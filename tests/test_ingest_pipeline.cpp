@@ -1,16 +1,15 @@
-// The SIMD + arena ingest pipeline: Arena and RingQueue unit contracts,
-// equivalence of the view-based record parser against a verbatim copy of
-// the legacy parser (results, error messages, and partial-progress state,
-// across every scan mode), zero-allocation steady state, and store-level
-// determinism — archive vs text, inline vs staged put threads, any SIMD
-// mode: byte-identical query results.
+// The SIMD + arena ingest pipeline: Arena unit contracts, equivalence of
+// the view-based record parser against a verbatim copy of the legacy
+// parser (results, error messages, and partial-progress state, across
+// every scan mode), zero-allocation steady state, and store-level
+// determinism — archive vs text, serial vs pool, any SIMD mode:
+// byte-identical query results.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "collect/rawfile.hpp"
@@ -20,7 +19,6 @@
 #include "transport/archive.hpp"
 #include "tsdb/store.hpp"
 #include "util/arena.hpp"
-#include "util/ring_queue.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
@@ -98,85 +96,6 @@ TEST(Arena, MoveLeavesSourceDetached) {
   const auto other = dst.alloc_array<std::uint64_t>(4);
   other[0] = 9;
   EXPECT_EQ(kept[0], 42u);
-}
-
-// ------------------------------------------------------------ RingQueue --
-
-TEST(RingQueue, FifoAndCloseSemantics) {
-  util::RingQueue<int> q(4);
-  EXPECT_EQ(q.capacity(), 4u);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  int v = 0;
-  EXPECT_TRUE(q.try_pop(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.try_push(3));
-  EXPECT_TRUE(q.try_push(4));
-  EXPECT_TRUE(q.try_push(5));
-  EXPECT_FALSE(q.try_push(6));  // full
-  q.close();
-  // Closed but not drained: pop still yields everything, in order.
-  for (const int want : {2, 3, 4, 5}) {
-    ASSERT_TRUE(q.pop(v));
-    EXPECT_EQ(v, want);
-  }
-  EXPECT_FALSE(q.pop(v));  // closed and drained
-  EXPECT_FALSE(q.try_pop(v));
-}
-
-TEST(RingQueue, CapacityRoundsUpToPowerOfTwo) {
-  util::RingQueue<int> q(5);
-  EXPECT_EQ(q.capacity(), 8u);
-  util::RingQueue<int> q1(1);
-  EXPECT_EQ(q1.capacity(), 2u);
-}
-
-TEST(RingQueue, SpscThreadsDeliverEverythingInOrder) {
-  // Tiny capacity forces constant wrap-around and blocking on both sides;
-  // the TSan job proves the memory-order discipline on this exact test.
-  util::RingQueue<std::uint64_t> q(2);
-  constexpr std::uint64_t kN = 20000;
-  std::vector<std::uint64_t> got;
-  got.reserve(kN);
-  std::thread consumer([&] {
-    std::uint64_t v;
-    while (q.pop(v)) got.push_back(v);
-  });
-  for (std::uint64_t i = 0; i < kN; ++i) q.push(std::uint64_t{i});
-  q.close();
-  consumer.join();
-  ASSERT_EQ(got.size(), kN);
-  for (std::uint64_t i = 0; i < kN; ++i) ASSERT_EQ(got[i], i);
-}
-
-TEST(RingQueue, CloseRaceNeverDropsFinalItem) {
-  // Regression: pop() once consumed the final item inside its
-  // closed-check condition, looped, and reported the queue drained —
-  // silently dropping the value. Pin the contract under the racy
-  // scenario (consumer already blocked in pop() on an empty queue,
-  // producer pushes the last item and closes immediately): the final
-  // item must always be delivered. The vulnerable window was a few
-  // instructions wide, so this is a probabilistic repro; the structural
-  // guarantee is that pop() has no path that consumes without returning.
-  for (int round = 0; round < 1000; ++round) {
-    util::RingQueue<int> q(2);
-    std::atomic<bool> waiting{false};
-    std::thread consumer([&] {
-      int v = -1;
-      waiting.store(true, std::memory_order_release);
-      const bool got = q.pop(v);
-      EXPECT_TRUE(got) << "final item dropped at close, round " << round;
-      if (got) EXPECT_EQ(v, round);
-      EXPECT_FALSE(q.pop(v));
-    });
-    while (!waiting.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-    q.push(int{round});
-    q.close();
-    consumer.join();
-    if (::testing::Test::HasFailure()) break;
-  }
 }
 
 // ----------------------------------------------- parser equivalence -----
@@ -518,17 +437,11 @@ TEST(PipelineMetrics, AccumulateSnapshotResetFormat) {
   m.add_bytes_read(23);
   m.add_lines(7);
   m.add_parse_time_ns(500);
-  m.add_queue_wait_ns(9);
   const auto s = m.snapshot();
   EXPECT_EQ(s.bytes_read, 123u);
   EXPECT_EQ(s.lines, 7u);
   EXPECT_EQ(s.parse_time_ns, 500u);
-  EXPECT_EQ(s.queue_wait_ns, 9u);
   EXPECT_EQ(s.points, 0u);
-  const auto table = pipeline::format_pipeline_metrics(s);
-  EXPECT_NE(table.find("bytes_read"), std::string::npos);
-  EXPECT_NE(table.find("123"), std::string::npos);
-  EXPECT_NE(table.find("arena_resizes"), std::string::npos);
   m.reset();
   EXPECT_EQ(m.snapshot().bytes_read, 0u);
 }
@@ -619,33 +532,18 @@ TEST(IngestPipeline, StageThreadsProduceIdenticalStores) {
   ASSERT_EQ(inline_stats.hosts, 5u);
   ASSERT_GT(inline_stats.points, 0u);
 
-  for (const std::size_t threads : {1u, 3u}) {
-    pipeline::TsdbIngestOptions staged = base;
-    staged.stage_threads = threads;
-    staged.queue_depth = 2;  // force producer blocking too
-    tsdb::Store store(tsdb::StoreOptions{8});
-    const auto stats =
-        pipeline::ingest_archive_tsdb(store, archive, nullptr, staged);
-    EXPECT_EQ(stats.series, inline_stats.series) << threads;
-    EXPECT_EQ(stats.points, inline_stats.points) << threads;
-    EXPECT_EQ(store.num_series(), inline_store.num_series());
-    EXPECT_EQ(store.num_points(), inline_store.num_points());
-    for (const auto& q : probe_queries()) {
-      const auto a = inline_store.query(q);
-      ASSERT_FALSE(a.empty());
-      expect_identical(a, store.query(q));
-    }
-  }
-
-  // And the pool path still matches (the PR 4 invariant, re-proven over
-  // the resolver-based stage builder).
   util::ThreadPool pool(4);
   tsdb::Store pooled(tsdb::StoreOptions{8});
   const auto pooled_stats =
       pipeline::ingest_archive_tsdb(pooled, archive, &pool, base);
+  EXPECT_EQ(pooled_stats.series, inline_stats.series);
   EXPECT_EQ(pooled_stats.points, inline_stats.points);
+  EXPECT_EQ(pooled.num_series(), inline_store.num_series());
+  EXPECT_EQ(pooled.num_points(), inline_store.num_points());
   for (const auto& q : probe_queries()) {
-    expect_identical(inline_store.query(q), pooled.query(q));
+    const auto a = inline_store.query(q);
+    ASSERT_FALSE(a.empty());
+    expect_identical(a, pooled.query(q));
   }
 }
 
@@ -661,20 +559,14 @@ TEST(IngestPipeline, TextIngestMatchesArchiveIngestAcrossModes) {
       pipeline::ingest_archive_tsdb(from_archive, archive, nullptr);
 
   const std::string text = log.serialize();
-  struct Config {
-    util::ScanMode scan;
-    std::size_t stage_threads;
-  };
-  std::vector<Config> configs = {{util::ScanMode::Scalar, 0},
-                                 {util::ScanMode::Auto, 0},
-                                 {util::ScanMode::Auto, 2}};
+  std::vector<util::ScanMode> modes = {util::ScanMode::Scalar,
+                                       util::ScanMode::Auto};
   if (util::detected_scan_mode() == util::ScanMode::Avx2) {
-    configs.push_back({util::ScanMode::Sse2, 1});
+    modes.push_back(util::ScanMode::Sse2);
   }
-  for (const auto& cfg : configs) {
+  for (const util::ScanMode mode : modes) {
     pipeline::TsdbIngestOptions opts;
-    opts.scan = cfg.scan;
-    opts.stage_threads = cfg.stage_threads;
+    opts.scan = mode;
     opts.batch_points = 200;
     tsdb::Store store(tsdb::StoreOptions{4});
     const auto stats = pipeline::ingest_text_tsdb(store, text, opts);
@@ -735,6 +627,37 @@ TEST(IngestPipeline, TextIngestPropagatesParseErrors) {
     FAIL() << "expected parse error";
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "bad counter value: oops");
+  }
+
+  // Partial progress: 30 good records of 4 points each, then a bad one.
+  // Batches flushed before the bad line stay in the store; the points
+  // staged since the last flush are dropped.
+  std::string partial =
+      "$tacc_stats 2.1\n$hostname h\n$arch x\n!cpu user,E sys,E\n";
+  for (int r = 0; r < 30; ++r) {
+    partial += std::to_string(1443657600 + r * 600) + " -\n";
+    for (int c = 0; c < 2; ++c) {
+      partial += "cpu " + std::to_string(c) + " " + std::to_string(r) + " " +
+                 std::to_string(r + c) + "\n";
+    }
+  }
+  partial += "1443675600 -\ncpu 0 1 oops\n";
+  // batch_points = 16 flushes at the starts of records 4, 8, ..., 28:
+  // records 0-27 (112 points) are stored, records 28-29 (8 points) are
+  // dropped. The default threshold never flushes before the error.
+  const std::size_t default_batch = pipeline::TsdbIngestOptions{}.batch_points;
+  for (const auto& [batch, want] :
+       {std::pair<std::size_t, std::size_t>{16, 112}, {default_batch, 0}}) {
+    pipeline::TsdbIngestOptions opts;
+    opts.batch_points = batch;
+    tsdb::Store store3;
+    try {
+      pipeline::ingest_text_tsdb(store3, partial, opts);
+      FAIL() << "expected parse error, batch_points " << batch;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "bad counter value: oops");
+    }
+    EXPECT_EQ(store3.num_points(), want) << "batch_points " << batch;
   }
 }
 

@@ -13,6 +13,10 @@ Enforces the correctness invariants no off-the-shelf tool knows about
   TS002  util::Mutex declared but never named by any TACC_* annotation in
          the same file — an unannotated capability guards nothing, so the
          static analysis silently proves nothing about it.
+  TS003  stale concurrency_allowlist.txt entry: its file is gone, or the
+         file declares no std:: primitive or Mutex with that name — the
+         exception outlived its code and would silently cover a new
+         declaration that reuses the name.
   TS010  collector class defined in src/collect/*.hpp but never
          instantiated in src/collect/registry.cpp — the collector would
          silently never run on any node.
@@ -58,6 +62,7 @@ from lint_output import Finding, emit  # noqa: E402
 CHECKS = {
     "TS001": "raw concurrency primitive not allowlisted",
     "TS002": "util::Mutex never referenced by a TACC_* annotation",
+    "TS003": "concurrency allowlist entry matches no declaration",
     "TS010": "collector not registered in registry.cpp",
     "TS011": "fault site name not declared anywhere in src/",
     "TS020": "options knob not documented in docs/ARCHITECTURE.md",
@@ -93,22 +98,24 @@ class Linter:
     def report(self, path: Path, line: int, code: str, message: str) -> None:
         self.findings.append(Finding(path.as_posix(), line, code, message))
 
-    # -- TS001 / TS002 ------------------------------------------------------
-    def load_allowlist(self) -> set[str]:
-        allow: set[str] = set()
+    # -- TS001 / TS002 / TS003 ----------------------------------------------
+    def load_allowlist(self) -> dict[str, int]:
+        """Allowlisted "<path>:<identifier>" keys -> their line numbers."""
+        allow: dict[str, int] = {}
         path = self.root / ALLOWLIST_PATH
         if not path.is_file():
             return allow
-        for raw in path.read_text().splitlines():
+        for lineno, raw in enumerate(path.read_text().splitlines(), 1):
             entry = raw.split("#", 1)[0].strip()
             if not entry:
                 continue
             # "<path>:<identifier>  <reason...>" — only the first token binds.
-            allow.add(entry.split()[0])
+            allow.setdefault(entry.split()[0], lineno)
         return allow
 
     def check_concurrency(self) -> None:
         allow = self.load_allowlist()
+        declared: set[str] = set()
         annotation_exempt = Path("src/util/thread_annotations.hpp")
         for path in sorted((self.root / "src").rglob("*.[hc]pp")):
             rel = path.relative_to(self.root)
@@ -118,6 +125,7 @@ class Linter:
                 if rel != annotation_exempt:
                     for m in RAW_PRIMITIVE_RE.finditer(stripped):
                         key = f"{rel.as_posix()}:{m.group(1)}"
+                        declared.add(key)
                         if key not in allow:
                             self.report(
                                 rel, lineno, "TS001",
@@ -129,6 +137,7 @@ class Linter:
                 for m in MUTEX_DECL_RE.finditer(stripped):
                     name = m.group(1)
                     key = f"{rel.as_posix()}:{name}"
+                    declared.add(key)
                     if key in allow:
                         continue
                     # The capability must be named by some annotation in this
@@ -141,6 +150,19 @@ class Linter:
                             f"util::Mutex '{name}' is never referenced by a "
                             "TACC_* annotation — nothing is guarded by it",
                         )
+        for key, lineno in allow.items():
+            if key in declared:
+                continue
+            file_part = key.rpartition(":")[0]
+            what = (
+                f"matches no std:: primitive or Mutex declaration in {file_part}"
+                if (self.root / file_part).is_file()
+                else "names a file that does not exist"
+            )
+            self.report(
+                ALLOWLIST_PATH, lineno, "TS003",
+                f"allowlist entry '{key}' {what} — delete the stale entry",
+            )
 
     # -- TS010 --------------------------------------------------------------
     def check_collectors(self) -> None:

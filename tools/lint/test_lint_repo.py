@@ -127,6 +127,54 @@ class LintRepoTest(unittest.TestCase):
         code, out = run_linter(self.tree.root)
         self.assertEqual(code, 0, out)
 
+    # -- TS003 --------------------------------------------------------------
+    def test_allowlist_entry_for_missing_file_flagged(self):
+        self.tree.write(
+            "tools/lint/concurrency_allowlist.txt",
+            "# header\nsrc/util/gone.hpp:head_  deleted with its file\n",
+        )
+        code, out = run_linter(self.tree.root)
+        self.assertEqual(code, 1, out)
+        self.assertIn("TS003", out)
+        self.assertIn("concurrency_allowlist.txt:2", out)
+        self.assertIn("does not exist", out)
+
+    def test_allowlist_entry_for_missing_identifier_flagged(self):
+        self.tree.write(
+            "src/core/state.cpp",
+            "std::mutex mu;\n"
+            "std::size_t hits = 0;  // plain counter now\n"
+            "std::thread worker;    // threads are not primitives\n",
+        )
+        self.tree.write(
+            "tools/lint/concurrency_allowlist.txt",
+            "src/core/state.cpp:mu      local latch\n"
+            "src/core/state.cpp:hits    was an atomic\n"
+            "src/core/state.cpp:worker  not a primitive\n",
+        )
+        code, out = run_linter(self.tree.root)
+        self.assertEqual(code, 1, out)
+        self.assertIn("'src/core/state.cpp:hits'", out)
+        self.assertIn("'src/core/state.cpp:worker'", out)
+        self.assertNotIn("'src/core/state.cpp:mu'", out)
+        self.assertIn("2 violation(s)", out)
+
+    def test_live_allowlist_entries_pass(self):
+        self.tree.write(
+            "src/core/state.hpp",
+            "class State {\n"
+            "  std::atomic<int> hits_{0};\n"
+            "  util::Mutex mu_;\n"
+            "};\n",
+        )
+        self.tree.write(
+            "tools/lint/concurrency_allowlist.txt",
+            "src/core/state.hpp:hits_  lock-free counter\n"
+            "src/core/state.hpp:mu_    guards the stream itself\n",
+        )
+        code, out = run_linter(self.tree.root)
+        self.assertEqual(code, 0, out)
+
     # -- TS010 --------------------------------------------------------------
     def test_unregistered_collector_flagged(self):
         self.tree.write(
