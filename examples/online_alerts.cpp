@@ -26,7 +26,6 @@ int main() {
   core::MonitorConfig mc;
   mc.mode = core::TransportMode::Daemon;
   mc.start = util::make_time(2016, 1, 11, 9, 0);
-  mc.online_thresholds.mdc_reqs_ps = 20000.0;
   core::ClusterMonitor monitor(cluster, mc);
   core::LiveScheduler scheduler(monitor, cluster.size());
   core::AutoResponder responder(

@@ -17,7 +17,7 @@ std::vector<ResponderAction> AutoResponder::poll() {
   const auto alerts = analyzer_->alerts();
   for (std::size_t i = alerts_seen_; i < alerts.size(); ++i) {
     const auto& alert = alerts[i];
-    if (!config_.actionable_rules.count(alert.rule)) continue;
+    if (alert.rule != "metadata_storm") continue;
     for (const long jobid : alert.jobids) {
       if (handled_.count(jobid)) continue;
       const int strikes = ++strikes_[jobid];

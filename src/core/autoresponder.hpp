@@ -22,10 +22,9 @@
 namespace tacc::core {
 
 struct ResponderConfig {
-  /// Alerts required against the same job before it is suspended.
+  /// metadata_storm alerts required against the same job before it is
+  /// suspended; no other rule counts toward suspension.
   int strikes = 3;
-  /// Rules that count toward suspension.
-  std::set<std::string> actionable_rules = {"metadata_storm"};
 };
 
 struct ResponderAction {

@@ -28,7 +28,7 @@ ClusterMonitor::ClusterMonitor(simhw::Cluster& cluster, MonitorConfig config)
       tree_->root().set_queue_limit(kQueue, config_.queue_limit);
     }
     if (config_.online_analysis) {
-      online_ = std::make_unique<OnlineAnalyzer>(config_.online_thresholds);
+      online_ = std::make_unique<OnlineAnalyzer>();
     }
     start_consumer();
     for (std::size_t i = 0; i < cluster.size(); ++i) {

@@ -29,7 +29,6 @@ struct MonitorConfig {
   collect::BuildOptions build_options{};
   /// Enable the online analyzer on the daemon-mode stream.
   bool online_analysis = true;
-  OnlineThresholds online_thresholds{};
   /// Fault schedule threaded through broker, daemons, consumer, and cron
   /// (null = no injection).
   std::shared_ptr<const util::FaultPlan> fault_plan;

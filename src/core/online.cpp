@@ -1,69 +1,60 @@
 #include "core/online.hpp"
 
-namespace tacc::core {
+#include <algorithm>
+#include <array>
+#include <iterator>
 
-double OnlineAnalyzer::block_sum(const std::vector<collect::Schema>& schemas,
-                                 const collect::Record& record,
-                                 const std::string& type,
-                                 const std::string& key) {
-  const collect::Schema* schema = nullptr;
-  for (const auto& s : schemas) {
-    if (s.type() == type) {
-      schema = &s;
-      break;
-    }
-  }
-  if (schema == nullptr) return -1.0;
-  const auto idx = schema->index_of(key);
-  if (!idx) return -1.0;
-  double sum = 0.0;
-  bool any = false;
-  for (const auto& block : record.blocks) {
-    if (block.type != type) continue;
-    sum += static_cast<double>(block.values[*idx]) *
-           schema->entry(*idx).scale;
-    any = true;
-  }
-  return any ? sum : -1.0;
+#include "pipeline/flags.hpp"
+#include "pipeline/metrics.hpp"
+
+namespace tacc::core {
+namespace {
+
+constexpr pipeline::FlagThresholds kThresholds{};
+constexpr double kMB = 1.0e6;            // GigEBW's unit
+constexpr double kMemoryPressure = 0.95;  // MemUsed / MemTotal: near-OOM
+
+bool read_by_rules(const collect::RawBlock& block) {
+  return block.type == "mdc" || block.type == "net" || block.type == "mem";
 }
+
+}  // namespace
 
 void OnlineAnalyzer::on_chunk(const std::string& hostname,
                               const collect::HostLog& chunk) {
   util::MutexLock lock(mu_);
-  auto& state = hosts_[hostname];
-  if (state.schemas.empty()) state.schemas = chunk.schemas;
+  collect::Record& last = hosts_[hostname];
   for (const auto& record : chunk.records) {
     ++records_;
-    if (!state.last.blocks.empty() && record.time > state.last.time) {
-      const double dt = util::to_seconds(record.time - state.last.time);
-      auto rate = [&](const char* type, const char* key) {
-        const double curr = block_sum(state.schemas, record, type, key);
-        const double prev = block_sum(state.schemas, state.last, type, key);
-        if (curr < 0.0 || prev < 0.0 || curr < prev) return -1.0;
-        return (curr - prev) / dt;
-      };
+    std::array<collect::Record, 2> pair{std::move(last), collect::Record{}};
+    pair[1].time = record.time;
+    std::copy_if(record.blocks.begin(), record.blocks.end(),
+                 std::back_inserter(pair[1].blocks), read_by_rules);
+    if (!pair[0].blocks.empty() && record.time > pair[0].time) {
+      const pipeline::HostExtract table(chunk.schemas, pair, chunk.arch);
       auto fire = [&](const char* rule, double value) {
         alerts_.push_back({record.time, hostname, record.jobids, rule,
                            value});
       };
-      const double mdc = rate("mdc", "reqs");
-      if (mdc > thresholds_.mdc_reqs_ps) {
-        fire("metadata_storm", mdc);
-        for (const long job : record.jobids) suspend_.insert(job);
+      const auto mdc = table.rate("mdc", "reqs");
+      if (mdc && *mdc > kThresholds.metadata_rate) {
+        fire("metadata_storm", *mdc);
+        suspend_.insert(record.jobids.begin(), record.jobids.end());
       }
-      const double eth =
-          rate("net", "rx_bytes") + rate("net", "tx_bytes");
-      if (eth > thresholds_.gige_bytes_ps) fire("gige_traffic", eth);
+      const auto rx = table.rate("net", "rx_bytes");
+      const auto tx = table.rate("net", "tx_bytes");
+      if (rx && tx && (*rx + *tx) / kMB > kThresholds.gige_mb_s) {
+        fire("gige_traffic", *rx + *tx);
+      }
       // Memory pressure uses the instantaneous gauge, not a rate.
-      const double used = block_sum(state.schemas, record, "mem", "MemUsed");
-      const double total =
-          block_sum(state.schemas, record, "mem", "MemTotal");
-      if (used >= 0.0 && total > 0.0 &&
-          used / total > thresholds_.mem_fraction) {
-        fire("memory_pressure", used / total);
+      const auto used = table.gauge_series("mem", "MemUsed");
+      const auto total = table.gauge_series("mem", "MemTotal");
+      if (used && total && total->back() > 0.0 &&
+          used->back() / total->back() > kMemoryPressure) {
+        fire("memory_pressure", used->back() / total->back());
       }
     }
-    state.last = record;
+    last = std::move(pair[1]);
   }
 }
 

@@ -1,8 +1,14 @@
 // Online (soft real-time) analysis of the daemon-mode stream (paper
-// sections I-C and VI-B): as raw chunks arrive at the consumer, per-host
-// interval rates are computed immediately and compared against thresholds;
-// problem jobs are reported to the administrator — and recommended for
-// suspension — before they can slow down or crash the shared filesystem.
+// sections I-C and VI-B): as raw chunks arrive at the consumer, each host's
+// newest interval is tested immediately; problem jobs are reported to the
+// administrator — and recommended for suspension — before they can slow
+// down or crash the shared filesystem.
+//
+// The rules are Table I's interval definition plus pipeline::FlagThresholds:
+// the interval's deltas come from pipeline::HostExtract, the counter table
+// Table I reads. Alerts are per host, while MetaDataRate is a node-summed
+// peak, so an online metadata_storm on one node of a job implies the batch
+// high_metadata_rate flag, but not the reverse.
 #pragma once
 
 #include <map>
@@ -16,12 +22,6 @@
 
 namespace tacc::core {
 
-struct OnlineThresholds {
-  double mdc_reqs_ps = 20000.0;  // per node: metadata storm
-  double gige_bytes_ps = 1.0e6;  // per node: MPI over Ethernet
-  double mem_fraction = 0.95;    // near-OOM
-};
-
 struct Alert {
   util::SimTime time = 0;
   std::string hostname;
@@ -32,9 +32,6 @@ struct Alert {
 
 class OnlineAnalyzer {
  public:
-  explicit OnlineAnalyzer(OnlineThresholds thresholds = {})
-      : thresholds_(thresholds) {}
-
   /// Consumer callback: analyze a freshly arrived self-describing chunk.
   /// Thread-safe (the consumer calls from its own thread).
   void on_chunk(const std::string& hostname, const collect::HostLog& chunk)
@@ -47,18 +44,9 @@ class OnlineAnalyzer {
   std::size_t records_analyzed() const TACC_EXCLUDES(mu_);
 
  private:
-  struct HostState {
-    collect::Record last;
-    std::vector<collect::Schema> schemas;
-  };
-  /// Summed value of (type, key) over devices in a record; -1 if absent.
-  static double block_sum(const std::vector<collect::Schema>& schemas,
-                          const collect::Record& record,
-                          const std::string& type, const std::string& key);
-
-  OnlineThresholds thresholds_;
   mutable util::Mutex mu_;
-  std::map<std::string, HostState> hosts_ TACC_GUARDED_BY(mu_);
+  /// Per host, the previous record's blocks of the types the rules read.
+  std::map<std::string, collect::Record> hosts_ TACC_GUARDED_BY(mu_);
   std::vector<Alert> alerts_ TACC_GUARDED_BY(mu_);
   std::set<long> suspend_ TACC_GUARDED_BY(mu_);
   std::size_t records_ TACC_GUARDED_BY(mu_) = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "simhw/arch.hpp"
 #include "util/stats.hpp"
 
 namespace tacc::pipeline {
@@ -11,145 +10,6 @@ namespace {
 
 constexpr double kMB = 1.0e6;
 constexpr double kGB1024 = 1024.0 * 1024.0;  // kB -> GB divisor
-
-/// Per-host access layer: organizes a HostSeries into (type, device) value
-/// matrices and produces wrap-corrected, scale-applied interval deltas.
-class HostExtract {
- public:
-  explicit HostExtract(const HostSeries& series) : series_(&series) {
-    const std::size_t n = series.records.size();
-    times_.reserve(n);
-    for (std::size_t r = 0; r < n; ++r) {
-      const auto& rec = series.records[r];
-      times_.push_back(util::to_seconds(rec.time));
-      for (const auto& block : rec.blocks) {
-        auto& dev = data_[block.type][block.device];
-        dev.resize(n);  // missing records stay empty
-        dev[r] = block.values;
-      }
-    }
-  }
-
-  std::size_t num_records() const noexcept { return times_.size(); }
-  double elapsed() const noexcept {
-    return times_.size() >= 2 ? times_.back() - times_.front() : 0.0;
-  }
-  double interval_dt(std::size_t i) const noexcept {
-    return times_[i + 1] - times_[i];
-  }
-  std::size_t num_intervals() const noexcept {
-    return times_.size() >= 2 ? times_.size() - 1 : 0;
-  }
-
-  bool has_type(const std::string& type) const noexcept {
-    return data_.count(type) > 0;
-  }
-
-  int num_devices(const std::string& type) const noexcept {
-    const auto it = data_.find(type);
-    return it == data_.end() ? 0 : static_cast<int>(it->second.size());
-  }
-
-  /// The schema for a type (from the host header), or nullptr.
-  const collect::Schema* schema(const std::string& type) const noexcept {
-    for (const auto& s : series_->schemas) {
-      if (s.type() == type) return &s;
-    }
-    return nullptr;
-  }
-
-  /// Per-interval delta of (type, key) summed over devices, wrap-corrected
-  /// per device and scaled to canonical units. nullopt if the type or key
-  /// is absent on this host.
-  std::optional<std::vector<double>> interval_deltas(
-      const std::string& type, const std::string& key) const {
-    const collect::Schema* sch = schema(type);
-    if (sch == nullptr) return std::nullopt;
-    const auto idx = sch->index_of(key);
-    if (!idx) return std::nullopt;
-    const auto tit = data_.find(type);
-    if (tit == data_.end()) return std::nullopt;
-    const auto& entry = sch->entry(*idx);
-    std::vector<double> out(num_intervals(), 0.0);
-    for (const auto& [device, values] : tit->second) {
-      for (std::size_t i = 0; i + 1 < values.size(); ++i) {
-        if (values[i].empty() || values[i + 1].empty()) continue;
-        const std::uint64_t delta = collect::wrap_delta(
-            values[i][*idx], values[i + 1][*idx], entry.width_bits);
-        out[i] += static_cast<double>(delta) * entry.scale;
-      }
-    }
-    return out;
-  }
-
-  /// Total delta over the job (sum of interval deltas).
-  std::optional<double> total_delta(const std::string& type,
-                                    const std::string& key) const {
-    const auto deltas = interval_deltas(type, key);
-    if (!deltas) return std::nullopt;
-    double sum = 0.0;
-    for (const double d : *deltas) sum += d;
-    return sum;
-  }
-
-  /// Average rate over the job (total delta / elapsed).
-  std::optional<double> rate(const std::string& type,
-                             const std::string& key) const {
-    if (elapsed() <= 0.0) return std::nullopt;
-    const auto total = total_delta(type, key);
-    if (!total) return std::nullopt;
-    return *total / elapsed();
-  }
-
-  /// Gauge value of (type, key) summed over devices, per record.
-  std::optional<std::vector<double>> gauge_series(
-      const std::string& type, const std::string& key) const {
-    const collect::Schema* sch = schema(type);
-    if (sch == nullptr) return std::nullopt;
-    const auto idx = sch->index_of(key);
-    if (!idx) return std::nullopt;
-    const auto tit = data_.find(type);
-    if (tit == data_.end()) return std::nullopt;
-    const auto& entry = sch->entry(*idx);
-    std::vector<double> out(num_records(), 0.0);
-    for (const auto& [device, values] : tit->second) {
-      for (std::size_t r = 0; r < values.size(); ++r) {
-        if (values[r].empty()) continue;
-        out[r] += static_cast<double>(values[r][*idx]) * entry.scale;
-      }
-    }
-    return out;
-  }
-
-  /// The PMC schema type for this host (the schema carrying the fixed
-  /// "instructions" counter), or empty.
-  std::string pmc_type() const {
-    for (const auto& s : series_->schemas) {
-      if (s.index_of("instructions") && s.index_of("cycles")) {
-        return s.type();
-      }
-    }
-    return {};
-  }
-
-  /// Vector width (doubles per vector instruction) from the arch codename.
-  double vector_width() const {
-    for (const auto uarch : simhw::all_microarchs()) {
-      const auto& spec = simhw::arch_spec(uarch);
-      if (spec.codename == series_->arch) {
-        return static_cast<double>(spec.vector_width_doubles);
-      }
-    }
-    return 2.0;  // conservative SSE default
-  }
-
- private:
-  const HostSeries* series_;
-  std::vector<double> times_;
-  // type -> device -> per-record value row (empty row = block missing).
-  std::map<std::string, std::map<std::string, std::vector<
-      std::vector<std::uint64_t>>>> data_;
-};
 
 double mean_of(const std::vector<double>& xs) {
   return util::mean(std::span<const double>(xs.data(), xs.size()));
@@ -269,7 +129,7 @@ JobMetrics compute_metrics(const JobData& data) {
   std::vector<HostExtract> hosts;
   hosts.reserve(data.hosts.size());
   for (const auto& hs : data.hosts) {
-    HostExtract h(hs);
+    HostExtract h(hs.schemas, hs.records, hs.arch);
     if (h.num_records() >= 2 && h.elapsed() > 0.0) {
       hosts.push_back(std::move(h));
     }
@@ -523,7 +383,7 @@ JobMetrics compute_metrics(const JobData& data) {
 std::vector<NodeSeries> job_timeseries(const JobData& data) {
   std::vector<NodeSeries> out;
   for (const auto& hs : data.hosts) {
-    HostExtract h(hs);
+    const HostExtract h(hs.schemas, hs.records, hs.arch);
     if (h.num_records() < 2) continue;
     NodeSeries ns;
     ns.hostname = hs.hostname;

@@ -21,10 +21,14 @@
 
 #include <cmath>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pipeline/jobmap.hpp"
+#include "simhw/arch.hpp"
 
 namespace tacc::pipeline {
 
@@ -78,6 +82,151 @@ struct JobMetrics {
 
   /// Ordered Table I labels (Lustre, Network, Processor, Energy, OS).
   static const std::vector<std::string>& labels();
+};
+
+/// One host's counter table: its records pivoted into (type, device) value
+/// rows under the host's schemas. It holds the one counter-delta rule: each
+/// device's delta is wrap-corrected at its schema width (collect::wrap_delta)
+/// and scaled to canonical units, then the devices are summed in device
+/// order. Table I, the Fig. 5 series and core::OnlineAnalyzer read every
+/// delta and gauge through it. `schemas`, `records` and `arch` must outlive
+/// the table, which points into them.
+class HostExtract {
+ public:
+  /// `records` in time order; `arch` is the codename for width lookups.
+  HostExtract(const std::vector<collect::Schema>& schemas,
+              std::span<const collect::Record> records, std::string_view arch)
+      : schemas_(&schemas), arch_(arch) {
+    const std::size_t n = records.size();
+    times_.reserve(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      const auto& rec = records[r];
+      times_.push_back(util::to_seconds(rec.time));
+      for (const auto& block : rec.blocks) {
+        auto& dev = data_[block.type][block.device];
+        dev.resize(n);  // missing records stay null
+        dev[r] = &block.values;
+      }
+    }
+  }
+
+  std::size_t num_records() const noexcept { return times_.size(); }
+  double elapsed() const noexcept {
+    return times_.size() >= 2 ? times_.back() - times_.front() : 0.0;
+  }
+  double interval_dt(std::size_t i) const noexcept {
+    return times_[i + 1] - times_[i];
+  }
+  std::size_t num_intervals() const noexcept {
+    return times_.size() >= 2 ? times_.size() - 1 : 0;
+  }
+
+  int num_devices(const std::string& type) const noexcept {
+    const auto it = data_.find(type);
+    return it == data_.end() ? 0 : static_cast<int>(it->second.size());
+  }
+
+  /// The schema for a type (from the host header), or nullptr.
+  const collect::Schema* schema(const std::string& type) const noexcept {
+    for (const auto& s : *schemas_) {
+      if (s.type() == type) return &s;
+    }
+    return nullptr;
+  }
+
+  /// Per-interval delta of (type, key) summed over devices, wrap-corrected
+  /// per device and scaled to canonical units. nullopt if the type or key
+  /// is absent on this host.
+  std::optional<std::vector<double>> interval_deltas(
+      const std::string& type, const std::string& key) const {
+    const collect::Schema* sch = schema(type);
+    if (sch == nullptr) return std::nullopt;
+    const auto idx = sch->index_of(key);
+    if (!idx) return std::nullopt;
+    const auto tit = data_.find(type);
+    if (tit == data_.end()) return std::nullopt;
+    const auto& entry = sch->entry(*idx);
+    std::vector<double> out(num_intervals(), 0.0);
+    for (const auto& [device, values] : tit->second) {
+      for (std::size_t i = 0; i + 1 < values.size(); ++i) {
+        if (values[i] == nullptr || values[i + 1] == nullptr) continue;
+        const std::uint64_t delta = collect::wrap_delta(
+            (*values[i])[*idx], (*values[i + 1])[*idx], entry.width_bits);
+        out[i] += static_cast<double>(delta) * entry.scale;
+      }
+    }
+    return out;
+  }
+
+  /// Total delta over the records (sum of interval deltas).
+  std::optional<double> total_delta(const std::string& type,
+                                    const std::string& key) const {
+    const auto deltas = interval_deltas(type, key);
+    if (!deltas) return std::nullopt;
+    double sum = 0.0;
+    for (const double d : *deltas) sum += d;
+    return sum;
+  }
+
+  /// Average rate over the records (total delta / elapsed). Over two
+  /// records this is the one interval's rate.
+  std::optional<double> rate(const std::string& type,
+                             const std::string& key) const {
+    if (elapsed() <= 0.0) return std::nullopt;
+    const auto total = total_delta(type, key);
+    if (!total) return std::nullopt;
+    return *total / elapsed();
+  }
+
+  /// Gauge value of (type, key) summed over devices, per record.
+  std::optional<std::vector<double>> gauge_series(
+      const std::string& type, const std::string& key) const {
+    const collect::Schema* sch = schema(type);
+    if (sch == nullptr) return std::nullopt;
+    const auto idx = sch->index_of(key);
+    if (!idx) return std::nullopt;
+    const auto tit = data_.find(type);
+    if (tit == data_.end()) return std::nullopt;
+    const auto& entry = sch->entry(*idx);
+    std::vector<double> out(num_records(), 0.0);
+    for (const auto& [device, values] : tit->second) {
+      for (std::size_t r = 0; r < values.size(); ++r) {
+        if (values[r] == nullptr) continue;
+        out[r] += static_cast<double>((*values[r])[*idx]) * entry.scale;
+      }
+    }
+    return out;
+  }
+
+  /// The PMC schema type for this host (the schema carrying the fixed
+  /// "instructions" counter), or empty.
+  std::string pmc_type() const {
+    for (const auto& s : *schemas_) {
+      if (s.index_of("instructions") && s.index_of("cycles")) {
+        return s.type();
+      }
+    }
+    return {};
+  }
+
+  /// Vector width (doubles per vector instruction) from the arch codename.
+  double vector_width() const {
+    for (const auto uarch : simhw::all_microarchs()) {
+      const auto& spec = simhw::arch_spec(uarch);
+      if (spec.codename == arch_) {
+        return static_cast<double>(spec.vector_width_doubles);
+      }
+    }
+    return 2.0;  // conservative SSE default
+  }
+
+ private:
+  const std::vector<collect::Schema>* schemas_;
+  std::string_view arch_;
+  std::vector<double> times_;
+  // type -> device -> per-record values (null = block missing).
+  std::map<std::string, std::map<std::string, std::vector<
+      const std::vector<std::uint64_t>*>>> data_;
 };
 
 /// Computes all metrics for a job. Requires at least two records on at

@@ -78,7 +78,10 @@ struct Query {
   /// Convert each matched series from cumulative counts to per-second
   /// rates (successive-point deltas / dt) before downsampling — OpenTSDB's
   /// rate() for the monotonic counters this system stores. Negative deltas
-  /// (counter resets) clamp to 0.
+  /// clamp to 0, so a counter reset or wrap reads as a zero-rate interval.
+  /// This is the one counter-delta rule left beside pipeline::HostExtract's,
+  /// which Table I and the online analyzer share: a series does not carry
+  /// its counter's width, so the store cannot correct a wrap.
   bool rate = false;
   /// Exact-match tag filters; series missing a filtered tag don't match.
   TagSet filters;

@@ -154,7 +154,7 @@ TEST(ConcurrencyAudit, OnlineAnalyzerConcurrentChunks) {
 
   // One chunk per host, built serially up front (the sampler/node pair is
   // not a shared-use structure): two records whose mdc request delta is an
-  // obvious storm (rate >> 20k/s).
+  // obvious storm (rate >> FlagThresholds::metadata_rate).
   const auto make_chunk = [&sampler](const std::string& host) {
     tacc::collect::HostLog log = sampler.make_log();
     log.hostname = host;

@@ -2,8 +2,11 @@
 // (section VI-C).
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/online.hpp"
 #include "core/sharednode.hpp"
+#include "pipeline/flags.hpp"
 
 namespace tacc::core {
 namespace {
@@ -12,12 +15,12 @@ constexpr util::SimTime kT0 = 1451606400LL * util::kSecond;
 
 collect::HostLog chunk_with(std::uint64_t mdc_reqs, std::uint64_t eth_rx,
                             std::uint64_t mem_used, util::SimTime t,
-                            std::vector<long> jobs) {
+                            std::vector<long> jobs, int mdc_width = 64) {
   collect::HostLog log;
   log.hostname = "c400-001";
   log.arch = "hsw";
   log.schemas = {
-      collect::Schema("mdc", {{"reqs", true, 64, "reqs", 1.0},
+      collect::Schema("mdc", {{"reqs", true, mdc_width, "reqs", 1.0},
                               {"wait", true, 64, "usec", 1.0}}),
       collect::Schema("net", {{"rx_bytes", true, 64, "bytes", 1.0},
                               {"rx_packets", true, 64, "packets", 1.0},
@@ -50,7 +53,7 @@ TEST(Online, NoAlertOnFirstRecord) {
 TEST(Online, MetadataStormFiresAndSuspends) {
   OnlineAnalyzer analyzer;
   analyzer.on_chunk("c400-001", chunk_with(0, 0, 100, kT0, {42}));
-  // 30M requests in 600 s = 50k/s > 20k/s threshold.
+  // 30M requests in 600 s = 50k/s > FlagThresholds::metadata_rate (10k/s).
   analyzer.on_chunk("c400-001",
                     chunk_with(30000000, 0, 100,
                                kT0 + 600 * util::kSecond, {42}));
@@ -61,6 +64,37 @@ TEST(Online, MetadataStormFiresAndSuspends) {
   EXPECT_EQ(alerts[0].hostname, "c400-001");
   EXPECT_EQ(alerts[0].jobids, std::vector<long>{42});
   EXPECT_EQ(analyzer.suspend_candidates(), std::set<long>{42});
+}
+
+// A counter wrap between two records, through both paths: Table I's
+// MetaDataRate and the online alert take the same wrap-corrected delta.
+TEST(Online, WrappedCounterAlertEqualsTableI) {
+  for (const int width : {32, 48, 64}) {
+    SCOPED_TRACE(width);
+    const std::uint64_t max = width == 64 ? ~0ULL : (1ULL << width) - 1;
+    const std::uint64_t before = max - 295;  // 296 below the wrap
+    const std::uint64_t after = (before + 30000000) & max;
+    const auto first = chunk_with(before, 0, 100, kT0, {42}, width);
+    const auto second = chunk_with(after, 0, 100,
+                                   kT0 + 600 * util::kSecond, {42}, width);
+    OnlineAnalyzer analyzer;
+    analyzer.on_chunk(first.hostname, first);
+    analyzer.on_chunk(second.hostname, second);
+
+    pipeline::JobData job;
+    job.acct.jobid = 42;
+    job.hosts.push_back({first.hostname, first.arch, first.schemas,
+                         {first.records[0], second.records[0]}});
+    const auto m = pipeline::compute_metrics(job);
+    EXPECT_EQ(m.MetaDataRate, 50000.0);
+    EXPECT_EQ(pipeline::flag_names(pipeline::evaluate_flags(job.acct, m)),
+              "high_metadata_rate");
+    const auto alerts = analyzer.alerts();
+    ASSERT_EQ(alerts.size(), 1u);
+    EXPECT_EQ(alerts[0].rule, "metadata_storm");
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(alerts[0].value),
+              std::bit_cast<std::uint64_t>(m.MetaDataRate));
+  }
 }
 
 TEST(Online, QuietStreamStaysQuiet) {
