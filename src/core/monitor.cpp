@@ -67,8 +67,9 @@ void ClusterMonitor::start_consumer() {
 
 void ClusterMonitor::crash_consumer() {
   if (!consumer_) return;
-  dead_consumer_resilience_.merge(consumer_->resilience());
+  // Join first: the thread may still finish (and dedup) one delivery.
   consumer_->crash();
+  dead_consumer_resilience_.merge(consumer_->resilience());
   consumer_.reset();
 }
 

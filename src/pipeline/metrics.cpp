@@ -336,6 +336,7 @@ JobMetrics compute_metrics(const JobData& data) {
     if (!std::isnan(m.flops) && m.flops > 0.1) {
       std::vector<std::vector<double>> fp_windows;
       std::size_t n = SIZE_MAX;
+      const HostExtract* timing = nullptr;
       for (const auto& h : hosts) {
         const std::string pmc = h.pmc_type();
         if (pmc.empty()) continue;
@@ -349,12 +350,19 @@ JobMetrics compute_metrics(const JobData& data) {
         }
         n = std::min(n, f.size());
         fp_windows.push_back(std::move(f));
+        if (timing == nullptr) timing = &h;
       }
-      if (n != SIZE_MAX && n >= 2 && !fp_windows.empty()) {
-        std::vector<double> windows(n, 0.0);
-        for (const auto& f : fp_windows) {
-          for (std::size_t i = 0; i < n; ++i) windows[i] += f[i];
-        }
+      // Zero-length intervals (an epilog "end" record on a sampling tick
+      // shares its timestamp with the interval record) are no window, as
+      // in max_rate(): hosts are index-aligned, the first one times them.
+      std::vector<double> windows;
+      for (std::size_t i = 0; timing != nullptr && i < n; ++i) {
+        if (timing->interval_dt(i) <= 0.0) continue;
+        double sum = 0.0;
+        for (const auto& f : fp_windows) sum += f[i];
+        windows.push_back(sum);
+      }
+      if (windows.size() >= 2) {
         const double peak =
             *std::max_element(windows.begin(), windows.end());
         if (peak > 0.0) {

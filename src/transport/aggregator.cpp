@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <optional>
+#include <stdexcept>
 #include <string_view>
 #include <utility>
 
@@ -22,7 +24,9 @@ Aggregator::Aggregator(std::string name, std::vector<Broker*> children,
       parent_(&parent),
       queue_(std::move(queue)),
       options_(std::move(options)),
-      faults_(std::move(faults)) {
+      faults_(std::move(faults)),
+      outbox_(parent, name_, util::kFaultAggregatorPublish, options_.retry,
+              faults_) {
   thread_ = std::thread([this] { run(); });
 }
 
@@ -34,8 +38,15 @@ void Aggregator::stop() {
 }
 
 AggregatorStats Aggregator::stats() const {
-  util::MutexLock lock(mu_);
-  return stats_;
+  AggregatorStats s;
+  {
+    util::MutexLock lock(mu_);
+    s = stats_;
+  }
+  const OutboxStats o = outbox_.stats();
+  s.total_backoff = o.total_backoff;
+  s.resilience.merge(o.resilience);
+  return s;
 }
 
 std::size_t Aggregator::header_len_of(const std::string& host,
@@ -79,7 +90,8 @@ void Aggregator::run() {
       }
     }
     if (!children_.empty()) rr = (rr + 1) % children_.size();
-    try_flush_spool();
+    // Frames replay at their own time: this thread has no simulated clock.
+    outbox_.replay(std::nullopt);
     if (any) {
       idle_sweeps_.store(0);
       continue;
@@ -87,7 +99,7 @@ void Aggregator::run() {
     // Idle sweep: close out every pending frame, replay the spool, then
     // block briefly for new input.
     flush_all();
-    try_flush_spool();
+    outbox_.replay(std::nullopt);
     if (!children_.empty()) {
       auto msg = children_[rr]->consume(queue_, 2ms);
       if (msg) {
@@ -105,61 +117,43 @@ void Aggregator::ingest(std::size_t child, Message msg) {
     util::MutexLock lock(mu_);
     ++stats_.consumed;
   }
-  if (AggFrame::is_frame(msg.body)) {
-    AggFrame f;
-    try {
+  // Every message becomes one host's frame: a lower tier's frame as it
+  // is, a daemon chunk as a frame of one record under its (producer, seq).
+  const bool is_frame = AggFrame::is_frame(msg.body);
+  AggFrame f;
+  try {
+    if (is_frame) {
       f = AggFrame::parse(msg.body);
-    } catch (const std::exception& e) {
-      {
-        util::MutexLock lock(mu_);
-        ++stats_.parse_errors;
+    } else {
+      if (msg.producer.empty()) {
+        throw std::invalid_argument("chunk without a producer identity");
       }
-      children_[child]->ack(queue_, msg.delivery_tag);
-      TS_LOG(Warn, "aggregator") << name_ << " frame parse error: " << e.what();
-      return;
+      f.header_len = header_len_of(msg.producer, msg.body);
+      f.producer = std::move(msg.producer);
+      f.seqs = {msg.seq};
+      f.delays = {0};
+      f.payload = std::move(msg.body);
     }
-    if (msg.delay > 0) {
-      for (auto& d : f.delays) d += msg.delay;
-    }
+  } catch (const std::exception& e) {
     {
       util::MutexLock lock(mu_);
-      ++stats_.merged_frames;
-      stats_.records_in += f.seqs.size();
+      ++stats_.parse_errors;
     }
-    const std::string_view payload(f.payload);
-    append_pending(f.producer, payload.substr(0, f.header_len),
-                   payload.substr(f.header_len), f.seqs, f.delays,
-                   window_of(msg.sim_time), msg.sim_time, child,
-                   msg.delivery_tag);
+    children_[child]->ack(queue_, msg.delivery_tag);
+    TS_LOG(Warn, "aggregator") << name_ << " parse error: " << e.what();
     return;
   }
-  if (!msg.producer.empty()) {
-    std::size_t hlen = 0;
-    try {
-      hlen = header_len_of(msg.producer, msg.body);
-    } catch (const std::exception& e) {
-      {
-        util::MutexLock lock(mu_);
-        ++stats_.parse_errors;
-      }
-      children_[child]->ack(queue_, msg.delivery_tag);
-      TS_LOG(Warn, "aggregator") << name_ << " header parse error: "
-                                 << e.what();
-      return;
-    }
-    {
-      util::MutexLock lock(mu_);
-      ++stats_.records_in;
-    }
-    const std::string_view body(msg.body);
-    append_pending(msg.producer, body.substr(0, hlen), body.substr(hlen),
-                   {msg.seq}, {msg.delay}, window_of(msg.sim_time),
-                   msg.sim_time, child, msg.delivery_tag);
-    return;
+  for (auto& d : f.delays) d += msg.delay;
+  {
+    util::MutexLock lock(mu_);
+    if (is_frame) ++stats_.merged_frames;
+    stats_.records_in += f.seqs.size();
   }
-  // No end-to-end identity: pass through verbatim (preserving whatever
-  // PublishInfo it carried) rather than coalescing.
-  forward_verbatim(child, msg);
+  const std::string_view payload(f.payload);
+  append_pending(f.producer, payload.substr(0, f.header_len),
+                 payload.substr(f.header_len), f.seqs, f.delays,
+                 window_of(msg.sim_time), msg.sim_time, child,
+                 msg.delivery_tag);
 }
 
 void Aggregator::append_pending(const std::string& host,
@@ -210,16 +204,10 @@ void Aggregator::flush_host(std::string host) {
   f.header_len = p.header.size();
   f.payload = std::move(p.header);
   f.payload += p.records;
-  const std::size_t n = f.seqs.size();
-  std::string body = f.serialize();
   const std::uint64_t fseq = ++frame_seq_;
-  const std::string rk = options_.routing_prefix + host;
-
-  // A non-empty spool means older frames are still waiting: spool behind
-  // them so per-host record order survives (the daemon's rule, one tier
-  // up).
-  if (spool_.empty() &&
-      try_publish(rk, body, name_, fseq, fseq, p.max_time, 0)) {
+  if (outbox_.send(Outbox::Entry{std::string(kRoutingPrefix) + host,
+                                 f.serialize(), fseq, f.seqs.size(),
+                                 p.max_time})) {
     if (faults_) {
       const auto fault = faults_->decide(util::kFaultAggregatorCrash, name_,
                                          util::FaultPlan::salt(fseq, 0),
@@ -235,20 +223,12 @@ void Aggregator::flush_host(std::string host) {
     for (const auto& [c, tag] : p.acks) children_[c]->ack(queue_, tag);
     util::MutexLock lock(mu_);
     ++stats_.frames_out;
-    stats_.records_out += n;
+    stats_.records_out += f.seqs.size();
     return;
   }
-  // Retries exhausted (or queued behind the spool): take ownership of the
-  // records — ack the children — and park the frame locally for replay.
+  // Retries exhausted (or queued behind the spool): the spool owns the
+  // records now, so ack the children.
   for (const auto& [c, tag] : p.acks) children_[c]->ack(queue_, tag);
-  spool_.push_back(
-      SpooledFrame{rk, std::move(body), name_, fseq, fseq, n, p.max_time});
-  spool_records_.fetch_add(n);
-  {
-    util::MutexLock lock(mu_);
-    stats_.resilience.spooled += n;
-  }
-  enforce_spool_limit();
 }
 
 void Aggregator::flush_all() {
@@ -261,88 +241,6 @@ void Aggregator::flush_all() {
     if (it == pending_.end()) break;
     flush_host(it->first);
   }
-}
-
-void Aggregator::enforce_spool_limit() {
-  const std::size_t limit = options_.retry.spool_limit;
-  if (limit == 0) return;
-  while (spool_records_.load() > limit && spool_.size() > 1) {
-    const std::size_t n = spool_.front().records;
-    spool_.pop_front();  // oldest data ages out of a full spool
-    spool_records_.fetch_sub(n);
-    util::MutexLock lock(mu_);
-    stats_.resilience.spool_dropped += n;
-  }
-}
-
-void Aggregator::try_flush_spool() {
-  if (spool_.empty() || parent_->queue_paused(queue_)) return;
-  // Each replay round offsets the attempt salt, so a frame whose original
-  // attempts all drew errors rolls fresh dice instead of failing forever.
-  ++replay_round_;
-  const auto attempts =
-      static_cast<std::uint64_t>(std::max(1, options_.retry.max_attempts));
-  while (!spool_.empty()) {
-    const SpooledFrame& f = spool_.front();
-    if (!try_publish(f.routing_key, f.body, f.producer, f.seq, f.fault_seq,
-                     f.now, replay_round_ * attempts)) {
-      break;
-    }
-    spool_records_.fetch_sub(f.records);
-    {
-      util::MutexLock lock(mu_);
-      stats_.resilience.replayed += f.records;
-    }
-    spool_.pop_front();
-  }
-}
-
-bool Aggregator::try_publish(const std::string& routing_key,
-                             const std::string& body,
-                             const std::string& producer, std::uint64_t seq,
-                             std::uint64_t fault_seq, util::SimTime now,
-                             std::uint64_t slot_base) {
-  const int attempts = std::max(1, options_.retry.max_attempts);
-  util::SimTime backoff = options_.retry.backoff_base;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    const std::uint64_t slot = slot_base + static_cast<std::uint64_t>(attempt);
-    if (attempt > 0) {
-      // Exponential backoff with deterministic jitter, virtual like the
-      // daemon's: accounted, not slept.
-      util::SimTime wait = backoff;
-      if (faults_ && options_.retry.jitter > 0.0) {
-        const double u = faults_->uniform(util::kFaultAggregatorPublish,
-                                          name_,
-                                          util::FaultPlan::salt(fault_seq,
-                                                                slot));
-        wait += static_cast<util::SimTime>(
-            static_cast<double>(wait) * options_.retry.jitter *
-            (2.0 * u - 1.0));
-      }
-      backoff = std::min(backoff * 2, options_.retry.backoff_max);
-      util::MutexLock lock(mu_);
-      ++stats_.resilience.retries;
-      stats_.total_backoff += wait;
-    }
-    if (faults_) {
-      const auto fault = faults_->decide(util::kFaultAggregatorPublish, name_,
-                                         util::FaultPlan::salt(fault_seq,
-                                                               slot),
-                                         now);
-      if (fault.error) {
-        util::MutexLock lock(mu_);
-        ++stats_.resilience.injected_errors;
-        continue;
-      }
-    }
-    PublishInfo info;
-    info.producer = producer;
-    info.seq = seq;
-    info.attempt = static_cast<std::uint32_t>(slot);
-    info.now = now;
-    if (parent_->publish(routing_key, body, info) > 0) return true;
-  }
-  return false;
 }
 
 void Aggregator::crash_recover(std::size_t extra_unacked) {
@@ -362,28 +260,6 @@ void Aggregator::crash_recover(std::size_t extra_unacked) {
   util::MutexLock lock(mu_);
   ++stats_.crashes;
   stats_.resilience.requeued += requeued;
-}
-
-void Aggregator::forward_verbatim(std::size_t child, const Message& msg) {
-  {
-    util::MutexLock lock(mu_);
-    ++stats_.forwarded;
-  }
-  const std::uint64_t fseq = ++frame_seq_;
-  if (spool_.empty() && try_publish(msg.routing_key, msg.body, msg.producer,
-                                    msg.seq, fseq, msg.sim_time, 0)) {
-    children_[child]->ack(queue_, msg.delivery_tag);
-    return;
-  }
-  children_[child]->ack(queue_, msg.delivery_tag);
-  spool_.push_back(SpooledFrame{msg.routing_key, msg.body, msg.producer,
-                                msg.seq, fseq, 1, msg.sim_time});
-  spool_records_.fetch_add(1);
-  {
-    util::MutexLock lock(mu_);
-    stats_.resilience.spooled += 1;
-  }
-  enforce_spool_limit();
 }
 
 }  // namespace tacc::transport

@@ -2,16 +2,16 @@
 // that consumes raw chunks (or lower-tier frames) from its child brokers,
 // pre-reduces them in flight — same-window per-host batches coalesce into
 // one AggFrame behind a single copy of the host's header — and republishes
-// the frames upward to its parent broker.
+// the frames upward to its parent broker. Every record keeps its daemon's
+// (producer, seq) identity: a message without one is dropped as malformed.
 //
 // Delivery: at-least-once per tier. Child deliveries are acked only after
 // the coalesced frame is safely published upward (or taken into the local
 // spool), so an aggregator crash (the "aggregator.crash" fault site)
 // redelivers from the children and the root consumer's per-record dedup
-// absorbs the duplicates. A failed upward publish ("aggregator.publish")
-// retries with the shared RetryPolicy backoff/jitter, then spools the frame
-// locally; the spool replays in order ahead of fresh frames, exactly the
-// daemon's spool semantics one tier up.
+// absorbs the duplicates. Upward publishes go through the daemon's Outbox
+// at the "aggregator.publish" site: the same retry/backoff/jitter loop and
+// the same in-order spool, whose replay rounds roll fresh fault dice.
 //
 // Backpressure: while the parent queue is Paused (watermarks, see
 // Broker::set_watermarks) the aggregator stops pulling from its children —
@@ -22,7 +22,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -43,8 +42,6 @@ struct AggregatorOptions {
   /// publish times fall in different buckets never share a frame
   /// (0 = unbounded, coalesce purely by count/idle).
   util::SimTime window = util::kHour;
-  /// Upward publish routing prefix; frames route as "<prefix><hostname>".
-  std::string routing_prefix = "stats.";
   /// Upward publish retry/backoff/spool tuning (the daemon's policy, one
   /// tier up; spool_limit counts records across spooled frames).
   RetryPolicy retry{};
@@ -56,7 +53,6 @@ struct AggregatorStats {
   std::uint64_t frames_out = 0;     // frames published upward
   std::uint64_t records_out = 0;    // records carried by those frames
   std::uint64_t merged_frames = 0;  // lower-tier frames folded into pending
-  std::uint64_t forwarded = 0;      // identity-less messages passed verbatim
   std::uint64_t crashes = 0;        // injected aggregator.crash events
   std::uint64_t parse_errors = 0;   // malformed bodies acked and dropped
   util::SimTime total_backoff = 0;  // virtual retry-backoff time
@@ -87,8 +83,8 @@ class Aggregator {
   /// True when the aggregator holds no pending records, its spool is
   /// empty, and it has completed two consecutive idle sweeps — i.e. every
   /// record it ever consumed has been pushed upward (quiesce barrier).
-  bool idle() const noexcept {
-    return pending_records_.load() == 0 && spool_records_.load() == 0 &&
+  bool idle() const {
+    return pending_records_.load() == 0 && outbox_.spooled_records() == 0 &&
            idle_sweeps_.load() >= 2;
   }
 
@@ -98,7 +94,7 @@ class Aggregator {
   }
 
   /// Records parked in the local frame spool.
-  std::size_t spool_records() const noexcept { return spool_records_.load(); }
+  std::size_t spool_records() const { return outbox_.spooled_records(); }
 
   AggregatorStats stats() const TACC_EXCLUDES(mu_);
 
@@ -115,17 +111,6 @@ class Aggregator {
     util::SimTime window_id = 0;
     util::SimTime max_time = 0;
   };
-  /// A frame (or verbatim message) awaiting replay after exhausted retries.
-  struct SpooledFrame {
-    std::string routing_key;
-    std::string body;
-    std::string producer;     // upward PublishInfo identity
-    std::uint64_t seq = 0;    //   "
-    std::uint64_t fault_seq = 0;  // aggregator.publish fault salt
-    std::size_t records = 0;
-    util::SimTime now = 0;
-  };
-
   void run();
   void ingest(std::size_t child, Message msg);
   void append_pending(const std::string& host, std::string_view header,
@@ -139,22 +124,11 @@ class Aggregator {
   /// reference into that map would dangle.
   void flush_host(std::string host);
   void flush_all();
-  /// Replays spooled frames while the parent accepts them.
-  void try_flush_spool();
-  /// The shared retry/backoff loop at the "aggregator.publish" site.
-  /// `slot_base` offsets the attempt salt so spool replays roll fresh dice.
-  bool try_publish(const std::string& routing_key, const std::string& body,
-                   const std::string& producer, std::uint64_t seq,
-                   std::uint64_t fault_seq, util::SimTime now,
-                   std::uint64_t slot_base);
   /// Simulated aggregator crash: nothing is acked; every child requeues
   /// its unacked deliveries and all pending frames are dropped (they
   /// rebuild from the redeliveries). `extra_unacked` counts the
   /// mid-flush frame's own deliveries.
   void crash_recover(std::size_t extra_unacked);
-  /// Ages the oldest spooled frames out of an over-limit spool.
-  void enforce_spool_limit();
-  void forward_verbatim(std::size_t child, const Message& msg);
   util::SimTime window_of(util::SimTime t) const noexcept {
     return options_.window > 0 ? t / options_.window : 0;
   }
@@ -170,9 +144,8 @@ class Aggregator {
   // Owned by the aggregator thread; no lock needed.
   std::map<std::string, PendingFrame> pending_;
   std::map<std::string, std::string> header_cache_;  // host -> header bytes
-  std::deque<SpooledFrame> spool_;
+  Outbox outbox_;  // upward frames: retry, spool, replay
   std::uint64_t frame_seq_ = 0;
-  std::uint64_t replay_round_ = 0;
 
   mutable util::Mutex mu_;
   AggregatorStats stats_ TACC_GUARDED_BY(mu_);
@@ -180,7 +153,6 @@ class Aggregator {
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> idle_sweeps_{0};
   std::atomic<std::size_t> pending_records_{0};
-  std::atomic<std::size_t> spool_records_{0};
   std::thread thread_;
 };
 

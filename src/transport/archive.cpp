@@ -21,29 +21,7 @@ void RawArchive::add_header(const std::string& hostname,
   add_header_locked(hostname, arch, std::move(schemas));
 }
 
-bool RawArchive::append_unique(const std::string& producer, std::uint64_t seq,
-                               const collect::HostLog& chunk,
-                               util::SimTime delay,
-                               std::size_t dedup_window) {
-  util::MutexLock lock(mu_);
-  auto& dedup = dedup_[producer];
-  if (!dedup.seen.insert(seq).second) return false;
-  dedup.order.push_back(seq);
-  while (dedup_window > 0 && dedup.order.size() > dedup_window) {
-    dedup.seen.erase(dedup.order.front());
-    dedup.order.pop_front();
-  }
-  if (chunk.records.empty()) return true;
-  add_header_locked(chunk.hostname, chunk.arch, chunk.schemas);
-  auto& host = hosts_[chunk.hostname];
-  for (const auto& record : chunk.records) {
-    host.ingest_times.push_back(record.time + delay);
-    host.log.records.push_back(record);
-  }
-  return true;
-}
-
-std::size_t RawArchive::append_unique_batch(
+std::size_t RawArchive::append_unique(
     const std::string& producer, const std::vector<std::uint64_t>& seqs,
     const collect::HostLog& chunk, const std::vector<util::SimTime>& delays,
     std::size_t dedup_window, std::vector<char>* fresh) {

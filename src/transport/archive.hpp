@@ -5,9 +5,9 @@
 // thread.
 //
 // The archive is also the durable side of the consumer's exactly-once
-// contract: append_unique() checks-and-appends a (producer, seq) chunk
-// under one lock, so a consumer that crashes between the write and the
-// broker ack can neither lose the chunk nor archive it twice on
+// contract: append_unique() checks-and-appends a message's (producer, seq)
+// records under one lock, so a consumer that crashes between the write and
+// the broker ack can neither lose a record nor archive it twice on
 // redelivery.
 #pragma once
 
@@ -36,29 +36,20 @@ class RawArchive {
   void append(const std::string& hostname, collect::Record record,
               util::SimTime ingest_time) TACC_EXCLUDES(mu_);
 
-  /// Atomically appends a whole chunk (header + records, each ingested at
-  /// record.time + delay) iff (producer, seq) has not been seen before.
-  /// Returns false — and appends nothing — on a duplicate. The per-producer
-  /// seen-set is bounded to the most recent `dedup_window` sequence numbers
-  /// (0 = unbounded).
-  bool append_unique(const std::string& producer, std::uint64_t seq,
-                     const collect::HostLog& chunk, util::SimTime delay,
-                     std::size_t dedup_window) TACC_EXCLUDES(mu_);
-
-  /// Batch form of append_unique() for coalesced aggregation frames: one
-  /// lock acquisition appends every record of `chunk` whose parallel
-  /// (producer, seqs[i]) identity is fresh, ingested at record.time +
-  /// delays[i]. Exactly equivalent to calling append_unique() per record in
-  /// order — a frame that was partially delivered before (a duplicated
-  /// sub-range) appends only its fresh suffix. `fresh` (optional out) is
-  /// resized parallel to seqs with 1 = appended. Returns the number of
-  /// records appended.
-  std::size_t append_unique_batch(const std::string& producer,
-                                  const std::vector<std::uint64_t>& seqs,
-                                  const collect::HostLog& chunk,
-                                  const std::vector<util::SimTime>& delays,
-                                  std::size_t dedup_window,
-                                  std::vector<char>* fresh = nullptr)
+  /// Atomically appends every record of `chunk` whose parallel (producer,
+  /// seqs[i]) identity has not been seen before, ingested at record.time +
+  /// delays[i], under one lock acquisition: a duplicate appends nothing,
+  /// and a partly delivered frame appends only its fresh records. The
+  /// per-producer seen-set is bounded to the most recent `dedup_window`
+  /// sequence numbers (0 = unbounded). `fresh` (optional out) is resized
+  /// parallel to seqs with 1 = appended. Returns the number of seqs that
+  /// were fresh.
+  std::size_t append_unique(const std::string& producer,
+                            const std::vector<std::uint64_t>& seqs,
+                            const collect::HostLog& chunk,
+                            const std::vector<util::SimTime>& delays,
+                            std::size_t dedup_window,
+                            std::vector<char>* fresh = nullptr)
       TACC_EXCLUDES(mu_);
 
   /// Whether (producer, seq) is inside the dedup window (bench/test

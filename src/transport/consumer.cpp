@@ -69,57 +69,44 @@ void Consumer::run() {
     }
     idle_.store(0);
     try {
-      collect::HostLog chunk;
-      collect::HostLog partial;  // frame subset when only some records fresh
-      const collect::HostLog* cb_chunk = nullptr;  // callback view
-      bool fresh = true;
+      // Every message becomes one host's records, each under its (producer,
+      // seq) identity: a frame carries N of them behind one header, a plain
+      // daemon chunk is a frame of one.
+      AggFrame frame;
       if (AggFrame::is_frame(msg->body)) {
-        // Coalesced aggregation frame: N same-host records behind one
-        // header, deduplicated per inner (producer, seq) identity and
-        // appended under a single archive lock acquisition.
-        AggFrame frame = AggFrame::parse(msg->body);
-        chunk = collect::HostLog::parse(frame.payload);
-        if (chunk.records.size() != frame.seqs.size()) {
-          throw std::invalid_argument("AggFrame: record/seq count mismatch");
-        }
-        for (auto& d : frame.delays) d += msg->delay;
-        std::vector<char> fresh_mask;
-        const std::size_t appended = archive_->append_unique_batch(
-            frame.producer, frame.seqs, chunk, frame.delays,
-            options_.dedup_window, &fresh_mask);
-        deduped_.fetch_add(frame.seqs.size() - appended);
-        fresh = appended > 0;
-        if (fresh && callback_) {
-          if (appended == chunk.records.size()) {
-            cb_chunk = &chunk;
-          } else {
-            partial = chunk;
-            partial.records.clear();
-            for (std::size_t i = 0; i < chunk.records.size(); ++i) {
-              if (fresh_mask[i]) partial.records.push_back(chunk.records[i]);
-            }
-            cb_chunk = &partial;
-          }
-        }
+        frame = AggFrame::parse(msg->body);
       } else {
-        chunk = collect::HostLog::parse(msg->body);
-        if (!msg->producer.empty()) {
-          // Atomic check-and-append: a redelivery of an already-archived
-          // chunk is suppressed here, never double-written.
-          fresh = archive_->append_unique(msg->producer, msg->seq, chunk,
-                                          msg->delay, options_.dedup_window);
-          if (!fresh) deduped_.fetch_add(1);
-        } else if (!chunk.records.empty()) {
-          archive_->add_header(chunk.hostname, chunk.arch, chunk.schemas);
-          for (const auto& record : chunk.records) {
-            archive_->append(chunk.hostname, record,
-                             record.time + msg->delay);
-          }
+        if (msg->producer.empty()) {
+          throw std::invalid_argument("chunk without a producer identity");
         }
-        if (fresh) cb_chunk = &chunk;
+        frame.producer = msg->producer;
+        frame.seqs = {msg->seq};
+        frame.delays = {0};
+        frame.payload = std::move(msg->body);
       }
-      if (fresh && callback_ && cb_chunk && !cb_chunk->records.empty()) {
-        callback_(cb_chunk->hostname, *cb_chunk);
+      collect::HostLog chunk = collect::HostLog::parse(frame.payload);
+      if (chunk.records.size() != frame.seqs.size()) {
+        throw std::invalid_argument("record/seq count mismatch");
+      }
+      for (auto& d : frame.delays) d += msg->delay;
+      // Atomic check-and-append under one archive lock: a redelivered
+      // record is suppressed here, never double-written.
+      std::vector<char> fresh_mask;
+      const std::size_t appended = archive_->append_unique(
+          frame.producer, frame.seqs, chunk, frame.delays,
+          options_.dedup_window, &fresh_mask);
+      deduped_.fetch_add(frame.seqs.size() - appended);
+      const bool fresh = appended > 0;
+      if (fresh && callback_) {
+        if (appended < chunk.records.size()) {
+          // A partly redelivered frame: the callback sees the fresh part.
+          std::vector<collect::Record> kept;
+          for (std::size_t i = 0; i < chunk.records.size(); ++i) {
+            if (fresh_mask[i]) kept.push_back(std::move(chunk.records[i]));
+          }
+          chunk.records = std::move(kept);
+        }
+        callback_(chunk.hostname, chunk);
       }
       if (fresh && faults_ &&
           msg->attempt <= options_.max_crash_redeliveries) {

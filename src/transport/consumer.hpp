@@ -5,10 +5,14 @@
 //
 // Delivery guarantee: the broker is at-least-once (redelivery on
 // crash-before-ack); the consumer makes it exactly-once by deduplicating
-// on the (producer, seq) stamp via RawArchive::append_unique — one atomic
-// check-and-append, so a crash between the archive write and the ack can
-// neither lose nor double-archive a chunk. On start the consumer recovers
-// the queue (reclaiming a dead predecessor's unacked deliveries).
+// every record on its (producer, seq) identity. Each message, a daemon
+// chunk (a frame of one) or an aggregator frame, goes through one
+// RawArchive::append_unique — one atomic check-and-append, so a crash
+// between the archive write and the ack can neither lose nor
+// double-archive a record. A message without that identity, or whose
+// record count differs from its seq count, is malformed: counted as a
+// parse error, acked and dropped. On start the consumer recovers the queue
+// (reclaiming a dead predecessor's unacked deliveries).
 #pragma once
 
 #include <atomic>

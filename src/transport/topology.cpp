@@ -28,7 +28,7 @@ AggregationTree::AggregationTree(
     for (std::size_t j = 0; j < sizes[t]; ++j) {
       auto broker = std::make_unique<Broker>();
       broker->declare_queue(queue_);
-      broker->bind(queue_, "stats.*");
+      broker->bind(queue_, std::string(kRoutingPrefix) + "*");
       if (faults) broker->set_fault_plan(faults);
       if (!is_root && options_.tier_queue_limit > 0) {
         broker->set_queue_limit(queue_, options_.tier_queue_limit);

@@ -69,8 +69,8 @@ struct TierStats {
 class AggregationTree {
  public:
   /// Builds the broker tiers and starts the aggregator threads. Every
-  /// broker declares `queue` bound to "<routing prefix>*". `faults` is
-  /// installed on every broker and aggregator (may be null).
+  /// broker declares `queue` bound to "stats.*" (kRoutingPrefix).
+  /// `faults` is installed on every broker and aggregator (may be null).
   AggregationTree(std::string queue, TreeOptions options,
                   std::shared_ptr<const util::FaultPlan> faults);
   ~AggregationTree();

@@ -97,8 +97,8 @@ TEST(CrashRecovery, CrashWithUnackedDeliveryIsRedeliveredOnce) {
     auto msg = broker.consume("raw", std::chrono::milliseconds(100));
     ASSERT_TRUE(msg);
     const auto chunk = collect::HostLog::parse(msg->body);
-    ASSERT_TRUE(archive.append_unique(msg->producer, msg->seq, chunk,
-                                      msg->delay, 0));
+    ASSERT_TRUE(archive.append_unique(msg->producer, {msg->seq}, chunk,
+                                      {msg->delay}, 0));
     // No ack: the consumer dies right here.
   }
   EXPECT_EQ(archive.total_records(), 1u);

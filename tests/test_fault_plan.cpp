@@ -1,11 +1,15 @@
 // The fault-injection subsystem: FaultPlan decision determinism, per-site
 // isolation, outage windows — and the transport-layer behaviors it drives
 // (broker drop/duplicate/delay/dead-letter, daemon retry + spool + replay,
-// cron rsync/disk faults with catch-up).
+// the replay rule the daemon shares with the aggregator tier, cron
+// rsync/disk faults with catch-up).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "simhw/cluster.hpp"
 #include "transport/consumer.hpp"
@@ -206,7 +210,7 @@ TEST(Daemon, RetriesThroughTransientDropsWithoutSpooling) {
   broker.bind("q", "#");
   auto plan = std::make_shared<FaultPlan>(11);
   FaultSpec spec;
-  spec.drop_rate = 0.5;  // retries (4 attempts) almost surely get through
+  spec.drop_rate = 0.5;  // all 16 attempts drop with probability 0.5^16
   plan->set("broker.publish", spec);
   broker.set_fault_plan(plan);
   transport::DaemonConfig dc;
@@ -276,6 +280,78 @@ TEST(Daemon, SpoolLimitAgesOutOldestRecords) {
   EXPECT_EQ(daemon.stats().resilience.spool_dropped, 2u);
 }
 
+/// Consumes `n` messages and checks they carry seqs 1..n in order.
+void expect_seqs_in_order(Broker& broker, std::uint64_t n) {
+  for (std::uint64_t seq = 1; seq <= n; ++seq) {
+    const auto msg = broker.consume("q", std::chrono::milliseconds(10));
+    ASSERT_TRUE(msg);
+    EXPECT_EQ(msg->seq, seq);
+  }
+  EXPECT_EQ(broker.depth("q"), 0u);
+}
+
+// Replay liveness, one rule for both users of the shared Outbox: a record
+// whose attempts all drew faults rolls fresh dice on each later replay
+// round, so replay passes empty the spool, in order. When replays reused
+// the first attempts' salts, the daemon cases left 320 (publish errors)
+// and 200 (broker drops) of 400 records spooled, none ever replayed.
+TEST(Outbox, ReplayRoundsEmptyTheSpoolAtBothTiers) {
+  constexpr std::uint64_t kRecords = 400;
+  FaultSpec errors;
+  errors.error_rate = 0.3;
+  FaultSpec drops;
+  drops.drop_rate = 0.3;
+  for (const auto& [site, spec] :
+       {std::pair{util::kFaultDaemonPublish, errors},
+        std::pair{util::kFaultBrokerPublish, drops}}) {
+    SCOPED_TRACE(std::string(site));
+    auto cluster = small_cluster(1);
+    Broker broker;
+    broker.bind("q", "#");
+    auto plan = std::make_shared<FaultPlan>(7);
+    plan->set(site, spec);
+    broker.set_fault_plan(plan);
+    transport::DaemonConfig dc;
+    dc.interval = util::kMinute;
+    dc.faults = plan;
+    transport::StatsDaemon daemon(cluster.node(0), broker, dc,
+                                  [] { return std::vector<long>{}; });
+    util::SimTime now = kMidnight;
+    for (std::uint64_t i = 0; i < kRecords; ++i, now += util::kMinute) {
+      ASSERT_TRUE(daemon.on_time(now));
+    }
+    for (int pass = 0; pass < 100 && daemon.spool_depth() > 0; ++pass) {
+      daemon.flush_spool(now);
+    }
+    const auto r = daemon.stats().resilience;
+    EXPECT_GT(r.spooled, 0u);
+    EXPECT_EQ(daemon.spool_depth(), 0u);
+    EXPECT_EQ(r.replayed, r.spooled);
+    expect_seqs_in_order(broker, kRecords);
+  }
+  // The aggregator tier: its Outbox at "aggregator.publish", keyed by the
+  // aggregator's name, replaying frames at their own time.
+  Broker parent;
+  parent.bind("q", "stats.*");
+  auto plan = std::make_shared<FaultPlan>(7);
+  plan->set(util::kFaultAggregatorPublish, errors);
+  transport::Outbox outbox(parent, "agg-1-0", util::kFaultAggregatorPublish,
+                           {}, plan);
+  for (std::uint64_t seq = 1; seq <= kRecords; ++seq) {
+    outbox.send({"stats.c1", "frame " + std::to_string(seq), seq, 1,
+                 kMidnight + static_cast<util::SimTime>(seq) * util::kMinute});
+    outbox.replay(std::nullopt);
+  }
+  for (int pass = 0; pass < 100 && outbox.spooled_records() > 0; ++pass) {
+    outbox.replay(std::nullopt);
+  }
+  const auto r = outbox.stats().resilience;
+  EXPECT_GT(r.spooled, 0u);
+  EXPECT_EQ(outbox.spooled_records(), 0u);
+  EXPECT_EQ(r.replayed, r.spooled);
+  expect_seqs_in_order(parent, kRecords);
+}
+
 TEST(Consumer, DedupsDuplicateDeliveries) {
   auto cluster = small_cluster(1);
   Broker broker;
@@ -328,10 +404,10 @@ TEST(Archive, AppendUniqueWindowForgetsOldSeqs) {
   transport::RawArchive archive;
   collect::HostLog chunk;  // header-only: dedup bookkeeping still applies
   chunk.hostname = "h";
-  EXPECT_TRUE(archive.append_unique("h", 1, chunk, 0, 2));
-  EXPECT_TRUE(archive.append_unique("h", 2, chunk, 0, 2));
-  EXPECT_FALSE(archive.append_unique("h", 2, chunk, 0, 2));
-  EXPECT_TRUE(archive.append_unique("h", 3, chunk, 0, 2));  // evicts seq 1
+  EXPECT_TRUE(archive.append_unique("h", {1}, chunk, {0}, 2));
+  EXPECT_TRUE(archive.append_unique("h", {2}, chunk, {0}, 2));
+  EXPECT_FALSE(archive.append_unique("h", {2}, chunk, {0}, 2));
+  EXPECT_TRUE(archive.append_unique("h", {3}, chunk, {0}, 2));  // evicts 1
   EXPECT_FALSE(archive.was_seen("h", 1));
   EXPECT_TRUE(archive.was_seen("h", 3));
   EXPECT_EQ(archive.seen_count("h"), 2u);

@@ -2,12 +2,15 @@
 // increases suggest a job that consists of a compilation step before it
 // runs, while sudden drops indicate application failure." End-to-end: the
 // compile-first and fail-mid-run app profiles must produce the matching
-// RampUp/TailDrop metrics and flags through the full stack.
+// RampUp/TailDrop metrics and flags through the full stack, including a
+// monitored daemon-mode run.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "core/monitor.hpp"
 #include "pipeline/ingest.hpp"
+#include "pipeline/jobmap.hpp"
 #include "pipeline/minisim.hpp"
 #include "workload/apps.hpp"
 
@@ -77,6 +80,45 @@ TEST(TemporalFlags, HealthyJobShowsNeither) {
       workload::to_accounting(base_job("md_engine"), {}), m);
   EXPECT_FALSE(has_flag(flags, "cpu_ramp_up"));
   EXPECT_FALSE(has_flag(flags, "cpu_tail_drop"));
+}
+
+TEST(TemporalFlags, MonitoredJobsEndingOnATickKeepTheirTail) {
+  // Jobs that end on a sampling tick leave their last interval record and
+  // their epilog "end" record at one timestamp. That zero-length interval
+  // is no FLOP window: counted as one, it read as a dead tail (TailDrop 0)
+  // and flagged cpu_tail_drop on every such job.
+  simhw::ClusterConfig cc;
+  cc.num_nodes = 2;
+  cc.topology = simhw::Topology{2, 4, false};
+  cc.phi_fraction = 0.0;
+  simhw::Cluster cluster(cc);
+  core::MonitorConfig mc;
+  mc.interval = util::kMinute;
+  mc.start = util::make_time(2016, 1, 12);
+  core::ClusterMonitor monitor(cluster, mc);
+  std::vector<workload::JobSpec> jobs = {base_job("wrf"),
+                                         base_job("compile_run")};
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].jobid = 700 + static_cast<long>(i);
+    jobs[i].nodes = 1;
+    jobs[i].submit_time = jobs[i].start_time = mc.start;
+    jobs[i].end_time = mc.start + util::kHour;
+    monitor.job_started(jobs[i], {i});
+  }
+  monitor.advance_to(mc.start + util::kHour);
+  for (const auto& job : jobs) monitor.job_ended(job.jobid);
+  monitor.drain();
+
+  std::vector<std::vector<Flag>> flags;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto acct =
+        workload::to_accounting(jobs[i], {cluster.node(i).hostname()});
+    flags.push_back(evaluate_flags(
+        acct, compute_metrics(extract_job(monitor.archive(), acct))));
+  }
+  for (const auto& f : flags[0]) ADD_FAILURE() << "wrf flagged " << f.name;
+  EXPECT_TRUE(has_flag(flags[1], "cpu_ramp_up"));
+  EXPECT_FALSE(has_flag(flags[1], "cpu_tail_drop"));
 }
 
 TEST(TemporalFlags, CraftedRampUpFiresDirectionally) {

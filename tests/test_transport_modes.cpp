@@ -102,15 +102,22 @@ TEST(Consumer, ArchivesChunksInRealTime) {
 }
 
 TEST(Consumer, MalformedChunkCountedNotFatal) {
+  auto cluster = small_cluster(1);
   Broker broker;
   broker.bind("raw", "#");
   RawArchive archive;
   Consumer consumer(broker, archive, "raw");
+  // Neither body carries a (producer, seq) identity; the second would
+  // parse, but a record without an identity cannot be deduplicated.
   broker.publish("k", "this is not a stats chunk");
   broker.publish("k", "$tacc_stats 2.1\n$hostname h\n$arch x\n");
+  StatsDaemon daemon(cluster.node(0), broker, {},
+                     [] { return std::vector<long>{}; });
+  daemon.collect_now(kMidnight, {});
   consumer.drain();
-  EXPECT_EQ(consumer.parse_errors(), 1u);
-  EXPECT_EQ(consumer.consumed(), 1u);  // the header-only chunk parses
+  EXPECT_EQ(consumer.parse_errors(), 2u);
+  EXPECT_EQ(consumer.consumed(), 1u);  // the daemon-stamped chunk
+  EXPECT_EQ(archive.total_records(), 1u);
   consumer.stop();
 }
 
