@@ -1,4 +1,4 @@
-// Ingest hot-path benchmark: the SIMD + arena parse pipeline against the
+// Ingest hot-path benchmark: the SIMD view parser against the
 // split/ostringstream implementation it replaced, parse-only and end to
 // end (archive -> tsdb, text -> tsdb).
 //
@@ -128,7 +128,6 @@ std::string make_log_text(int records) {
       Schema("ib", events({"rx_bytes", "tx_bytes", "rx_packets",
                            "tx_packets"})),
   };
-  log.reindex_schemas();
 
   util::Rng rng(2016);
   std::vector<std::uint64_t> counters(16 * 9 + 2 * 4 + 6 + 4, 0);
@@ -214,9 +213,7 @@ void report_parse_only() {
   });
 
   const auto view_parse_s = [&](util::ScanMode mode) {
-    collect::RecordViewParser parser(
-        collect::RecordViewParser::Options{mode,
-                                           util::Arena::kDefaultChunkBytes});
+    collect::RecordViewParser parser(mode);
     return best_of(reps, [&] {
       CountingSink sink;
       parser.parse_body(header, body, sink);
@@ -233,7 +230,7 @@ void report_parse_only() {
         std::string("scan mode: ") + std::string(util::scan_mode_name(simd)));
   t.row("legacy parse (split + vectors)", "baseline",
         bench::num(mb / legacy_s, 1) + " MB/s", "");
-  t.row("HostLog::parse (view + arena)", "-",
+  t.row("HostLog::parse (view, materialized)", "-",
         bench::num(mb / parse_s, 1) + " MB/s",
         bench::num(legacy_s / parse_s, 2) + "x legacy, still materializes");
   t.row("view parse, scalar", "-", bench::num(mb / view_scalar_s, 1) + " MB/s",

@@ -73,7 +73,6 @@ collect::HostLog make_host_log(const std::string& host) {
     }
     log.schemas.emplace_back("dev" + std::to_string(s), std::move(entries));
   }
-  log.reindex_schemas();
   return log;
 }
 

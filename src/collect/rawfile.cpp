@@ -1,7 +1,5 @@
 #include "collect/rawfile.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <charconv>
 #include <stdexcept>
 
@@ -87,45 +85,6 @@ struct MaterializeSink {
 
 }  // namespace
 
-const Schema* HostLog::schema_for(std::string_view type) const noexcept {
-  if (schema_index_.size() == schemas.size() && !schema_index_.empty()) {
-    // Contract (see header): a same-size index is current, i.e. sorted
-    // over today's schemas. Size-changing mutations of `schemas` are
-    // tolerated (the index is ignored as stale); in-place edits without
-    // reindex_schemas() are unsupported — lower_bound over an unsorted
-    // range would be UB. Enforced here in debug builds.
-    assert(std::is_sorted(schema_index_.begin(), schema_index_.end(),
-                          [this](std::uint32_t a, std::uint32_t b) noexcept {
-                            return schemas[a].type() < schemas[b].type();
-                          }) &&
-           "schemas edited in place without reindex_schemas()");
-    const auto it = std::lower_bound(
-        schema_index_.begin(), schema_index_.end(), type,
-        [this](std::uint32_t i, std::string_view t) noexcept {
-          return schemas[i].type() < t;
-        });
-    if (it != schema_index_.end() && schemas[*it].type() == type) {
-      return &schemas[*it];
-    }
-    return nullptr;
-  }
-  for (const auto& s : schemas) {
-    if (s.type() == type) return &s;
-  }
-  return nullptr;
-}
-
-void HostLog::reindex_schemas() {
-  schema_index_.resize(schemas.size());
-  for (std::uint32_t i = 0; i < schema_index_.size(); ++i) {
-    schema_index_[i] = i;
-  }
-  std::sort(schema_index_.begin(), schema_index_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return schemas[a].type() < schemas[b].type();
-            });
-}
-
 std::string HostLog::serialize_header() const {
   std::string out;
   out += '$';
@@ -158,8 +117,8 @@ std::string HostLog::serialize() const {
 
 void HostLog::parse_records(std::string_view body) {
   // One parser per thread so repeated parses (the daemon consumer decodes
-  // one message body per record) reuse the same arena slabs and token
-  // scratch: zero heap allocations from the scan itself in steady state.
+  // one message body per record) reuse the same scratch vectors: zero heap
+  // allocations from the scan itself in steady state.
   static thread_local RecordViewParser parser;
   MaterializeSink sink{records};
   parser.parse_body(*this, body, sink);
@@ -201,7 +160,6 @@ std::size_t HostLog::parse_header(std::string_view text) {
   if (!saw_format) {
     throw std::invalid_argument("missing $tacc_stats format line");
   }
-  reindex_schemas();
   return body_start;
 }
 

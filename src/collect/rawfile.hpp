@@ -22,6 +22,9 @@
 // record (epoch-seconds, job list, optional mark), anything else is a data
 // row "type device v0 v1 ...". Multiple job ids are comma-separated; "-"
 // means no job / no device instance.
+//
+// HostLog::parse reads the header lines itself and streams the body through
+// collect::RecordViewParser (rawview.hpp) into owning Records.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +60,8 @@ struct Record {
 /// A host's stats stream: identity, schemas, and an ordered record list.
 /// This is both the in-memory representation of a node-local log file
 /// (cron mode) and the unit shipped through the broker (daemon mode sends
-/// header + one record per message).
+/// header + one record per message). A plain value: concurrent const reads
+/// need no set-up.
 struct HostLog {
   std::string hostname;
   std::string arch;  // codename, informational
@@ -65,20 +69,10 @@ struct HostLog {
 
   std::vector<Record> records;
 
-  /// Returns the schema for a type, or nullptr. Uses the sorted index
-  /// from reindex_schemas() when its size matches `schemas` (parse() and
-  /// the archive keep it so); a size-mismatched index is ignored and the
-  /// lookup falls back to a linear scan.
-  const Schema* schema_for(std::string_view type) const noexcept;
-
-  /// Rebuilds the type -> schema lookup index. Call after mutating
-  /// `schemas` directly; parse()/parse_header() do it themselves. Must not
-  /// race with schema_for() on the same log (build before sharing).
-  /// Appending/removing schemas without reindexing merely staleness-drops
-  /// the index (size mismatch -> linear scan); editing a schema's type in
-  /// place without reindexing is unsupported — schema_for asserts index
-  /// sortedness in debug builds.
-  void reindex_schemas();
+  /// Returns the schema for a type, or nullptr (a scan of `schemas`).
+  const Schema* schema_for(std::string_view type) const noexcept {
+    return find_schema(schemas, type);
+  }
 
   /// Serializes header (format/hostname/arch/schema lines).
   std::string serialize_header() const;
@@ -99,12 +93,6 @@ struct HostLog {
   /// Parses records from a body (no header) into an existing log, using its
   /// schemas for validation. Appends to `records`.
   void parse_records(std::string_view body);
-
- private:
-  // Indices into `schemas`, sorted by type; used by schema_for when its
-  // size matches schemas.size() (the contract guarantees a same-size
-  // index is sorted), ignored (stale) otherwise.
-  std::vector<std::uint32_t> schema_index_;
 };
 
 }  // namespace tacc::collect

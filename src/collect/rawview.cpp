@@ -3,12 +3,13 @@
 namespace tacc::collect {
 
 std::span<const long> RecordViewParser::parse_jobids(std::string_view list,
-                                                     std::string_view line) {
+                                                     std::string_view line,
+                                                     BodyStats& stats) {
   // Comma split with empty segments preserved (an empty segment is a bad
   // job id), matching util::split + parse_i64 in the legacy parser.
   std::size_t count = 1;
   for (const char c : list) count += (c == ',');
-  const auto ids = arena_.alloc_array<long>(count);
+  const auto ids = resize_scratch(jobids_, count, stats);
   std::size_t n = 0;
   std::size_t start = 0;
   for (std::size_t i = 0; i <= list.size(); ++i) {

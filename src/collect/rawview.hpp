@@ -1,13 +1,15 @@
 // Zero-copy view parser for raw stats record bodies.
 //
-// HostLog::parse_records materializes owning Records (strings + vectors,
-// several heap allocations per line); that is the right shape for the
-// archive but far too slow as a decode loop. RecordViewParser instead
-// walks the body with util::SimdScanner and emits *views*: string_views
-// into the input buffer plus arena-backed spans for the numeric payloads
-// (job-id lists, counter values). A parser instance reused across
-// records/bodies performs zero heap allocations in steady state — the
-// arena slabs and the token scratch vector are retained and reused.
+// Owning Records (strings + vectors, several heap allocations per line)
+// are the right shape for the archive but far too slow as a decode loop.
+// RecordViewParser instead walks the body with util::SimdScanner and emits
+// *views*: string_views into the input buffer plus spans over two reusable
+// scratch vectors for the numeric payloads (the record line's job ids and
+// the data row's counter values). HostLog::parse_records runs it with a
+// materializing sink; the tsdb text load runs it with a sink that stages
+// points directly. A parser instance reused across records/bodies performs
+// zero heap allocations in steady state: the token, job-id and value
+// scratch vectors keep their capacity.
 //
 // The sink receives one call per line, in input order:
 //
@@ -15,9 +17,9 @@
 //   sink.block(const RawBlockView&) — a "type device v0 v1 ..." data row
 //                                     belonging to the last record
 //
-// Lifetime: every view handed to the sink is valid only until the NEXT
-// sink.record() call (the arena rewinds per record) or the end of
-// parse_body. Sinks that need longer-lived data must copy.
+// Lifetime: RecordView::jobids is valid until the next record() call,
+// RawBlockView::values until the next sink call, and the string views
+// until parse_body returns. Sinks that need longer-lived data must copy.
 //
 // Error semantics are bit-for-bit those of the legacy parser: the same
 // std::invalid_argument messages, thrown at the same input positions, and
@@ -36,7 +38,6 @@
 #include <vector>
 
 #include "collect/rawfile.hpp"
-#include "util/arena.hpp"
 #include "util/clock.hpp"
 #include "util/simd_scan.hpp"
 #include "util/strings.hpp"
@@ -46,7 +47,7 @@ namespace tacc::collect {
 /// View equivalent of Record (minus blocks, which stream separately).
 struct RecordView {
   util::SimTime time = 0;
-  std::span<const long> jobids;  // arena-backed; empty = no job
+  std::span<const long> jobids;  // parser scratch; empty = no job
   std::string_view mark;         // into the input buffer
 };
 
@@ -55,7 +56,7 @@ struct RawBlockView {
   std::string_view type;    // into the input buffer
   std::string_view device;  // empty if the row said "-"
   const Schema* schema = nullptr;  // never null when delivered
-  std::span<const std::uint64_t> values;  // arena-backed, schema arity
+  std::span<const std::uint64_t> values;  // parser scratch, schema arity
 };
 
 namespace detail {
@@ -80,28 +81,20 @@ inline std::optional<std::uint64_t> parse_counter(
 
 class RecordViewParser {
  public:
-  struct Options {
-    /// Classify kernel for the line scanner (Auto = the widest the CPU
-    /// supports).
-    util::ScanMode scan = util::ScanMode::Auto;
-    /// Arena slab size for the per-record numeric payloads.
-    std::size_t arena_chunk = util::Arena::kDefaultChunkBytes;
-  };
-
   /// What one parse_body call did, for PipelineMetrics accounting.
-  /// arena_resizes and allocations are zero in steady state (second and
-  /// later bodies of similar shape through the same parser).
+  /// allocations is zero in steady state (second and later bodies of
+  /// similar shape through the same parser).
   struct BodyStats {
-    std::uint64_t bytes = 0;          // body bytes scanned
-    std::uint64_t lines = 0;          // non-empty lines
-    std::uint64_t records = 0;        // record lines delivered
-    std::uint64_t arena_resizes = 0;  // arena slab growths
-    std::uint64_t allocations = 0;    // scratch-vector growths
+    std::uint64_t bytes = 0;        // body bytes scanned
+    std::uint64_t lines = 0;        // non-empty lines
+    std::uint64_t records = 0;      // record lines delivered
+    std::uint64_t allocations = 0;  // scratch-vector growths
   };
 
-  RecordViewParser() : RecordViewParser(Options{}) {}
-  explicit RecordViewParser(Options options)
-      : opts_(options), arena_(options.arena_chunk) {}
+  /// `scan` is the line scanner's classify kernel (Auto = the widest the
+  /// CPU supports).
+  explicit RecordViewParser(util::ScanMode scan = util::ScanMode::Auto)
+      : scan_(scan) {}
 
   /// Streams one body (no header lines) into `sink`. Throws
   /// std::invalid_argument on malformed input, with everything before the
@@ -111,8 +104,7 @@ class RecordViewParser {
                        Sink&& sink) {
     BodyStats stats;
     stats.bytes = body.size();
-    const std::uint64_t arena_allocs0 = arena_.stats().chunk_allocs;
-    util::SimdScanner scanner(body, opts_.scan);
+    util::SimdScanner scanner(body, scan_);
     bool have_record = false;
     // One-entry schema memo: data rows arrive in device order, so runs of
     // the same type are the common case.
@@ -135,11 +127,10 @@ class RecordViewParser {
         if (!secs) {
           throw std::invalid_argument("bad timestamp: " + std::string(line));
         }
-        arena_.reset();  // invalidates the previous record's views
         RecordView rec;
         rec.time = *secs * util::kSecond;
         if (fields_.size() > 1 && fields_[1] != "-") {
-          rec.jobids = parse_jobids(fields_[1], line);
+          rec.jobids = parse_jobids(fields_[1], line, stats);
         }
         if (fields_.size() > 2) rec.mark = fields_[2];
         have_record = true;
@@ -172,7 +163,7 @@ class RecordViewParser {
         throw std::invalid_argument("data row arity mismatch for type " +
                                     std::string(block.type));
       }
-      const auto values = arena_.alloc_array<std::uint64_t>(fields_.size() - 2);
+      const auto values = resize_scratch(values_, fields_.size() - 2, stats);
       for (std::size_t i = 2; i < fields_.size(); ++i) {
         const auto v = detail::parse_counter(fields_[i]);
         if (!v) {
@@ -184,26 +175,28 @@ class RecordViewParser {
       block.values = values;
       sink.block(block);
     }
-    stats.arena_resizes = arena_.stats().chunk_allocs - arena_allocs0;
     return stats;
   }
 
-  /// The resolved scan mode parse_body will run with.
-  util::ScanMode scan_mode() const noexcept {
-    return util::resolve_scan_mode(opts_.scan);
+ private:
+  /// Sizes a scratch vector to `n` elements, counting a capacity growth.
+  template <typename T>
+  static std::span<T> resize_scratch(std::vector<T>& v, std::size_t n,
+                                     BodyStats& stats) {
+    if (n > v.capacity()) ++stats.allocations;
+    v.resize(n);
+    return v;
   }
 
-  const util::Arena& arena() const noexcept { return arena_; }
-
- private:
-  /// Parses a comma-separated job-id list into an arena span. `line` is
-  /// the full raw line, for the error message.
+  /// Parses a comma-separated job-id list into the job-id scratch. `line`
+  /// is the full raw line, for the error message.
   std::span<const long> parse_jobids(std::string_view list,
-                                     std::string_view line);
+                                     std::string_view line, BodyStats& stats);
 
-  Options opts_;
-  util::Arena arena_;
+  util::ScanMode scan_;
   std::vector<std::string_view> fields_;
+  std::vector<long> jobids_;
+  std::vector<std::uint64_t> values_;
 };
 
 }  // namespace tacc::collect

@@ -18,6 +18,14 @@ std::optional<std::size_t> Schema::index_of(
   return std::nullopt;
 }
 
+const Schema* find_schema(const std::vector<Schema>& schemas,
+                          std::string_view type) noexcept {
+  for (const auto& s : schemas) {
+    if (s.type() == type) return &s;
+  }
+  return nullptr;
+}
+
 std::string Schema::spec_line() const {
   std::ostringstream os;
   os << '!' << type_;

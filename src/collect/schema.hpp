@@ -56,6 +56,12 @@ class Schema {
   std::vector<SchemaEntry> entries_;
 };
 
+/// The schema of `type` in a host header's schema list, or nullptr. A
+/// header holds about 20 types and both readers memoize the last one, so a
+/// scan is all the lookup needs.
+const Schema* find_schema(const std::vector<Schema>& schemas,
+                          std::string_view type) noexcept;
+
 /// Applies wraparound correction: the delta from `prev` to `curr` for a
 /// counter of the given width, assuming at most one wrap between samples.
 std::uint64_t wrap_delta(std::uint64_t prev, std::uint64_t curr,

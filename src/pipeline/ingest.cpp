@@ -199,7 +199,7 @@ struct HostSink {
 /// flushes it. Blocks whose type has no schema are skipped.
 void feed_log(const collect::HostLog& log, HostSink& sink) {
   // One-entry schema memo: a record's blocks run through devices of the
-  // same type back to back, so the indexed lookup is rarely needed.
+  // same type back to back, so the schema scan runs about once per type.
   std::string_view memo_type;
   const collect::Schema* memo_schema = nullptr;
   for (const auto& rec : log.records) {
@@ -273,7 +273,7 @@ TsdbIngestStats ingest_text_tsdb(tsdb::Store& store, std::string_view text,
   collect::HostLog header;
   const std::size_t body_start = header.parse_header(text);
 
-  collect::RecordViewParser parser({.scan = options.scan});
+  collect::RecordViewParser parser(options.scan);
   HostSink sink(store, header.hostname, options.batch_points, metrics);
   util::WallTimer parse_timer;
   const auto body = parser.parse_body(header, text.substr(body_start), sink);
@@ -284,7 +284,6 @@ TsdbIngestStats ingest_text_tsdb(tsdb::Store& store, std::string_view text,
     metrics->add_lines(body.lines);
     metrics->add_records(body.records);
     metrics->add_points(sink.points);
-    metrics->add_arena_resizes(body.arena_resizes);
     metrics->add_allocations(body.allocations);
     metrics->add_parse_time_ns(total_ns > sink.put_ns ? total_ns - sink.put_ns
                                                       : 0);

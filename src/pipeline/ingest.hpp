@@ -5,7 +5,9 @@
 //     comma-joined text column.
 //   * time-series (the paper's OpenTSDB step, section VI-A): every raw
 //     counter of every host, tagged by (host, device type, device name,
-//     event name), batched per series and fanned out across a thread pool.
+//     event name), batched per series. The archive load and the raw-text
+//     load share one per-host sink; the archive load can fan hosts out
+//     across a thread pool.
 #pragma once
 
 #include <cstddef>
@@ -92,10 +94,11 @@ TsdbIngestStats ingest_archive_tsdb(tsdb::Store& store,
 /// Loads one serialized host log (header + records, HostLog::serialize
 /// format) straight into the time-series store without materializing
 /// Records: the body streams through collect::RecordViewParser (SIMD
-/// tokenization, arena-backed values) directly into staged series
-/// batches. Series naming/tagging matches ingest_archive_tsdb, so a store
-/// loaded from text and one loaded from the equivalent archived log have
-/// byte-identical query results — as do runs with any scan mode.
+/// tokenization, values in the parser's reused scratch) directly into
+/// staged series batches. Series naming/tagging matches
+/// ingest_archive_tsdb, so a store loaded from text and one loaded from the
+/// equivalent archived log have byte-identical query results — as do runs
+/// with any scan mode.
 ///
 /// Throws std::invalid_argument on malformed input (same messages as
 /// HostLog::parse). Points flushed before the bad line are already in the

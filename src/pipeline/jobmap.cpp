@@ -5,22 +5,22 @@
 namespace tacc::pipeline {
 namespace {
 
-HostSeries slice_log(const collect::HostLog& log, long jobid) {
-  HostSeries series;
-  series.hostname = log.hostname;
-  series.arch = log.arch;
-  series.schemas = log.schemas;
+collect::HostLog slice_log(const collect::HostLog& log, long jobid) {
+  collect::HostLog slice;
+  slice.hostname = log.hostname;
+  slice.arch = log.arch;
+  slice.schemas = log.schemas;
   for (const auto& record : log.records) {
     if (std::find(record.jobids.begin(), record.jobids.end(), jobid) !=
         record.jobids.end()) {
-      series.records.push_back(record);
+      slice.records.push_back(record);
     }
   }
-  std::sort(series.records.begin(), series.records.end(),
+  std::sort(slice.records.begin(), slice.records.end(),
             [](const collect::Record& a, const collect::Record& b) {
               return a.time < b.time;
             });
-  return series;
+  return slice;
 }
 
 }  // namespace
@@ -33,24 +33,9 @@ JobData extract_job(const transport::RawArchive& archive,
     // Runs under the archive lock: slice_log must not call back into the
     // archive.
     archive.visit_log(hostname, [&](const collect::HostLog& log) {
-      auto series = slice_log(log, acct.jobid);
-      if (!series.records.empty()) data.hosts.push_back(std::move(series));
+      auto slice = slice_log(log, acct.jobid);
+      if (!slice.records.empty()) data.hosts.push_back(std::move(slice));
     });
-  }
-  return data;
-}
-
-JobData extract_job(const std::vector<collect::HostLog>& logs,
-                    const workload::AccountingRecord& acct) {
-  JobData data;
-  data.acct = acct;
-  for (const auto& log : logs) {
-    if (std::find(acct.hostnames.begin(), acct.hostnames.end(),
-                  log.hostname) == acct.hostnames.end()) {
-      continue;
-    }
-    auto series = slice_log(log, acct.jobid);
-    if (!series.records.empty()) data.hosts.push_back(std::move(series));
   }
   return data;
 }

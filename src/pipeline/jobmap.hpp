@@ -5,7 +5,6 @@
 // several jobs.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "collect/rawfile.hpp"
@@ -14,34 +13,21 @@
 
 namespace tacc::pipeline {
 
-/// One host's slice of a job: its schemas and the records tagged with the
-/// job id, in time order.
-struct HostSeries {
-  std::string hostname;
-  std::string arch;  // codename ("hsw", ...) for width lookups
-  std::vector<collect::Schema> schemas;
-  std::vector<collect::Record> records;
-};
-
-/// Everything the metric stage needs for one job.
+/// Everything the metric stage needs for one job: per host, its header and
+/// the records tagged with the job id, in time order.
 struct JobData {
   workload::AccountingRecord acct;
-  std::vector<HostSeries> hosts;
+  std::vector<collect::HostLog> hosts;
 };
 
 /// Extracts a job's records from the central archive using the accounting
-/// record's host list. Hosts with no matching records are omitted (e.g. a
-/// crashed node whose cron-mode data was lost), as are hosts the archive
-/// does not know. Reads one host's log at a time in place, under the
-/// archive's lock (RawArchive::visit_log), and copies only the job's
-/// records: a concurrent daemon-mode writer waits for one host's scan, not
-/// for a copy of that host's whole log.
+/// record's host list, in accounting order. Hosts with no matching records
+/// are omitted (e.g. a crashed node whose cron-mode data was lost), as are
+/// hosts the archive does not know. Reads one host's log at a time in
+/// place, under the archive's lock (RawArchive::visit_log), and copies only
+/// the job's records: a concurrent daemon-mode writer waits for one host's
+/// scan, not for a copy of that host's whole log.
 JobData extract_job(const transport::RawArchive& archive,
-                    const workload::AccountingRecord& acct);
-
-/// Extracts a job from an in-memory set of host logs (used by the per-job
-/// mini-simulations of the population benches).
-JobData extract_job(const std::vector<collect::HostLog>& logs,
                     const workload::AccountingRecord& acct);
 
 }  // namespace tacc::pipeline

@@ -127,11 +127,8 @@ class HostExtract {
   }
 
   /// The schema for a type (from the host header), or nullptr.
-  const collect::Schema* schema(const std::string& type) const noexcept {
-    for (const auto& s : *schemas_) {
-      if (s.type() == type) return &s;
-    }
-    return nullptr;
+  const collect::Schema* schema(std::string_view type) const noexcept {
+    return collect::find_schema(*schemas_, type);
   }
 
   /// Per-interval delta of (type, key) summed over devices, wrap-corrected

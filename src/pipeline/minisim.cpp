@@ -64,7 +64,10 @@ JobData simulate_job(const workload::JobSpec& spec,
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     hostnames.push_back(cluster.node(i).hostname());
   }
-  return extract_job(logs, workload::to_accounting(spec, hostnames));
+  // The logs hold only this job's records, in time order, one per
+  // accounting host in accounting order: they are the job's data as is.
+  return {workload::to_accounting(spec, std::move(hostnames)),
+          std::move(logs)};
 }
 
 std::size_t ingest_population(db::Database& database,

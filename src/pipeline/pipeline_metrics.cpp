@@ -12,7 +12,6 @@ PipelineMetricsSnapshot PipelineMetrics::snapshot() const noexcept {
   s.parse_time_ns = parse_time_ns_.load(std::memory_order_relaxed);
   s.build_time_ns = build_time_ns_.load(std::memory_order_relaxed);
   s.put_time_ns = put_time_ns_.load(std::memory_order_relaxed);
-  s.arena_resizes = arena_resizes_.load(std::memory_order_relaxed);
   s.allocations = allocations_.load(std::memory_order_relaxed);
   return s;
 }
@@ -26,7 +25,6 @@ void PipelineMetrics::reset() noexcept {
   parse_time_ns_.store(0, std::memory_order_relaxed);
   build_time_ns_.store(0, std::memory_order_relaxed);
   put_time_ns_.store(0, std::memory_order_relaxed);
-  arena_resizes_.store(0, std::memory_order_relaxed);
   allocations_.store(0, std::memory_order_relaxed);
 }
 

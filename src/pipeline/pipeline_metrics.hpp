@@ -25,8 +25,7 @@ struct PipelineMetricsSnapshot {
   std::uint64_t parse_time_ns = 0;   // tokenize + decode stage time
   std::uint64_t build_time_ns = 0;   // batch staging time
   std::uint64_t put_time_ns = 0;     // Store::put_batches time
-  std::uint64_t arena_resizes = 0;   // arena slab growths (0 = steady state)
-  std::uint64_t allocations = 0;     // heap allocs observed in parse stage
+  std::uint64_t allocations = 0;     // parse scratch growths (0 = steady state)
 };
 
 /// Thread-safe accumulator; add to it from any stage, snapshot after join.
@@ -40,7 +39,6 @@ class PipelineMetrics {
   void add_parse_time_ns(std::uint64_t n) noexcept { add(parse_time_ns_, n); }
   void add_build_time_ns(std::uint64_t n) noexcept { add(build_time_ns_, n); }
   void add_put_time_ns(std::uint64_t n) noexcept { add(put_time_ns_, n); }
-  void add_arena_resizes(std::uint64_t n) noexcept { add(arena_resizes_, n); }
   void add_allocations(std::uint64_t n) noexcept { add(allocations_, n); }
 
   PipelineMetricsSnapshot snapshot() const noexcept;
@@ -61,7 +59,6 @@ class PipelineMetrics {
   std::atomic<std::uint64_t> parse_time_ns_{0};
   std::atomic<std::uint64_t> build_time_ns_{0};
   std::atomic<std::uint64_t> put_time_ns_{0};
-  std::atomic<std::uint64_t> arena_resizes_{0};
   std::atomic<std::uint64_t> allocations_{0};
 };
 

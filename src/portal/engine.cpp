@@ -60,13 +60,8 @@ void append_ts_query(std::string& key, const tsdb::Query& q) {
   key += kSep;
   key += q.rate ? '1' : '0';
   key += kSep;
-  for (const auto& [k, v] : q.filters) {  // TagSet is ordered
-    key += k;
-    key += '=';
-    key += v;
-    key += kSep;
-  }
-  key += '|';
+  key += tsdb::canonical_tags(q.filters);
+  key += kSep;
   for (const auto& g : q.group_by) {  // order is semantic: keep it
     key += g;
     key += kSep;

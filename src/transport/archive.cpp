@@ -10,7 +10,6 @@ void RawArchive::add_header_locked(const std::string& hostname,
     host.log.hostname = hostname;
     host.log.arch = arch;
     host.log.schemas = std::move(schemas);
-    host.log.reindex_schemas();
   }
 }
 

@@ -293,4 +293,24 @@ void SealedBlock::decode_append(std::vector<DataPoint>& out) const {
   while (c.next(p)) out.push_back(p);
 }
 
+std::string canonical_tags(const TagSet& tags) {
+  std::size_t size = 0;
+  for (const auto& [k, v] : tags) size += k.size() + v.size() + 2;
+  std::string out;
+  out.reserve(size);  // exact unless a tag needs escapes
+  const auto append = [&out](const std::string& s) {
+    for (const char c : s) {
+      if (c == '\\' || c == ',' || c == '=') out += '\\';
+      out += c;
+    }
+  };
+  for (const auto& [k, v] : tags) {
+    append(k);
+    out += '=';
+    append(v);
+    out += ',';
+  }
+  return out;
+}
+
 }  // namespace tacc::tsdb

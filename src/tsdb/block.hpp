@@ -56,6 +56,14 @@ namespace tacc::tsdb {
 /// the store.
 using TagSet = std::map<std::string, std::string>;
 
+/// The key of a tag set: "k=v," per tag in key order, with every
+/// backslash, ',' and '=' inside a key or value escaped by a backslash, so
+/// two different tag sets never share a key. A tag set free of those three
+/// characters keeps the plain "k=v," bytes, on which shard assignment and
+/// segment series order are built. The store keys series by it and the
+/// portal keys its Timeseries filters by it.
+std::string canonical_tags(const TagSet& tags);
+
 struct DataPoint {
   util::SimTime time = 0;
   double value = 0.0;

@@ -248,17 +248,6 @@ double aggregate(Aggregator agg, std::span<const double> values) noexcept {
   return 0.0;
 }
 
-std::string Store::canonical(const TagSet& tags) {
-  std::string out;
-  for (const auto& [k, v] : tags) {
-    out += k;
-    out += '=';
-    out += v;
-    out += ',';
-  }
-  return out;
-}
-
 Store::Store(const StoreOptions& options)
     : epoch_(std::make_unique<std::atomic<std::uint64_t>>(0)),
       block_points_(options.block_points) {
@@ -374,7 +363,7 @@ void Store::put_batch(const std::string& metric, const TagSet& tags,
                       std::span<const DataPoint> points) {
   if (points.empty()) return;
   check_open();
-  const std::string canon = canonical(tags);
+  const std::string canon = canonical_tags(tags);
   Shard& shard = shard_for(metric, canon);
   {
     util::MutexLock lock(shard.mu);
@@ -392,7 +381,7 @@ void Store::put_batches(std::span<const SeriesBatch> batches) {
   std::vector<std::string> canons(batches.size());
   for (std::size_t i = 0; i < batches.size(); ++i) {
     if (batches[i].points.empty()) continue;
-    canons[i] = canonical(batches[i].tags);
+    canons[i] = canonical_tags(batches[i].tags);
     by_shard[series_hash(batches[i].metric, canons[i]) &
              (shards_.size() - 1)]
         .push_back(i);
@@ -470,7 +459,7 @@ void Store::check_open() const {
 
 void Store::adopt_segment(const LoadedSegment& seg) {
   for (const SeriesPayload& payload : seg.series) {
-    const std::string canon = canonical(payload.tags);
+    const std::string canon = canonical_tags(payload.tags);
     Shard& shard = shard_for(payload.metric, canon);
     util::MutexLock lock(shard.mu);
     Series& series =
@@ -587,7 +576,7 @@ void Store::recover() {
       std::map<std::pair<std::string, std::string>, std::uint64_t> budget;
       for (const WalRecord& rec : r.records) {
         ++recovery_.wal_records;
-        const std::string canon = canonical(rec.tags);
+        const std::string canon = canonical_tags(rec.tags);
         Shard& shard = shard_for(rec.metric, canon);
         util::MutexLock lock(shard.mu);
         Series& series = resolve_series(shard, rec.metric, rec.tags, canon);
@@ -646,7 +635,7 @@ void Store::recover() {
 
 void Store::swap_persisted(const LoadedSegment& seg) {
   for (const SeriesPayload& payload : seg.series) {
-    const std::string canon = canonical(payload.tags);
+    const std::string canon = canonical_tags(payload.tags);
     Shard& shard = shard_for(payload.metric, canon);
     util::MutexLock lock(shard.mu);
     Series& series = shard.metrics.find(payload.metric)
@@ -883,7 +872,7 @@ bool Store::compact() {
   const LoadedSegment seg = load_segment(path);
   std::map<std::pair<std::string, std::string>, const SeriesPayload*> by_key;
   for (const SeriesPayload& payload : seg.series) {
-    by_key[{payload.metric, canonical(payload.tags)}] = &payload;
+    by_key[{payload.metric, canonical_tags(payload.tags)}] = &payload;
   }
   for (const Snap& s : snaps) {
     Shard& shard = shard_for(s.metric, s.canon);
@@ -1206,7 +1195,7 @@ std::vector<SeriesResult> Store::query_impl(const Query& q,
   };
   std::map<std::string, Group> groups;
   for (const Partial* p : ordered) {
-    auto& group = groups[canonical(p->group_tags)];
+    auto& group = groups[canonical_tags(p->group_tags)];
     group.tags = p->group_tags;
     for (const auto& [t, v] : p->downsampled) {
       group.buckets[t].push_back(v);

@@ -419,8 +419,6 @@ class Store {
   std::vector<SeriesResult> query_impl(const Query& q,
                                        util::ThreadPool* pool) const;
 
-  static std::string canonical(const TagSet& tags);
-
   void bump_epoch() noexcept {
     epoch_->fetch_add(1, std::memory_order_acq_rel);
   }

@@ -98,9 +98,8 @@ TEST(MdsContention, WaitMetricReflectsContention) {
       log.records.push_back(
           sampler.sample(kStart + s * 10 * util::kMinute, {1}, ""));
     }
-    const std::vector<collect::HostLog> logs = {log};
-    const auto data = pipeline::extract_job(
-        logs, to_accounting(victim, {cluster.node(0).hostname()}));
+    const pipeline::JobData data{
+        to_accounting(victim, {cluster.node(0).hostname()}), {log}};
     return compute_metrics(data).MDCWait;
   };
   const double quiet = run(false);

@@ -53,10 +53,10 @@ collect::Schema mem_schema() {
 
 /// Builds a host with n records at 600 s spacing; `fill` appends blocks for
 /// record index r.
-HostSeries make_host(
+collect::HostLog make_host(
     const std::string& name, std::vector<collect::Schema> schemas, int n,
     const std::function<void(int, collect::Record&)>& fill) {
-  HostSeries h;
+  collect::HostLog h;
   h.hostname = name;
   h.arch = "hsw";
   h.schemas = std::move(schemas);
@@ -70,7 +70,7 @@ HostSeries make_host(
   return h;
 }
 
-JobData one_host_job(HostSeries host) {
+JobData one_host_job(collect::HostLog host) {
   JobData data;
   data.acct.jobid = 1;
   data.acct.hostnames = {host.hostname};

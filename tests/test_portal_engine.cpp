@@ -433,6 +433,16 @@ TEST(EngineCacheKey, CanonicalizationAndSensitivity) {
   QueryRequest f = a;
   f.query.user = "alice";
   EXPECT_NE(QueryEngine::cache_key(a), QueryEngine::cache_key(f));
+
+  // Timeseries filters: a '=' inside a tag key or value cannot make two
+  // filter sets share a key.
+  QueryRequest g;
+  g.kind = QueryRequest::Kind::Timeseries;
+  g.ts.metric = "taccstats.cpu.user";
+  g.ts.filters = {{"a", "b=c"}};
+  QueryRequest h = g;
+  h.ts.filters = {{"a=b", "c"}};
+  EXPECT_NE(QueryEngine::cache_key(g), QueryEngine::cache_key(h));
 }
 
 }  // namespace

@@ -41,7 +41,6 @@ collect::HostLog make_synth_log(const std::string& host) {
     entries.push_back({"ctr" + std::to_string(k), true, 64, "", 1.0});
   }
   log.schemas.emplace_back("dev", std::move(entries));
-  log.reindex_schemas();
   return log;
 }
 

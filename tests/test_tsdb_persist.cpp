@@ -166,6 +166,45 @@ TEST(TsdbPersist, FlushReopenByteIdentical) {
   expect_same_results(r, mem);
 }
 
+TEST(TsdbPersist, TagValuesHoldingSeparatorsStayDistinctSeries) {
+  // Host and device tags come from whitespace-split raw-text tokens, which
+  // may hold ',' and '='. {a="x,b=y"} and {a="x", b="y"} are different
+  // series, before and after a durable flush and reopen.
+  const auto check = [](const Store& s) {
+    EXPECT_EQ(s.num_series(), 2u);
+    Query by_b;
+    by_b.metric = "m";
+    by_b.filters = {{"b", "y"}};
+    const auto only_b = s.query(by_b);
+    ASSERT_EQ(only_b.size(), 1u);
+    ASSERT_EQ(only_b[0].points.size(), 1u);
+    EXPECT_EQ(only_b[0].points[0].value, 2.0);
+    Query by_a;
+    by_a.metric = "m";
+    by_a.group_by = {"a"};
+    const auto groups = s.query(by_a);
+    ASSERT_EQ(groups.size(), 2u);
+    for (const auto& g : groups) {
+      ASSERT_EQ(g.points.size(), 1u);
+      EXPECT_EQ(g.points[0].value, g.group_tags.at("a") == "x" ? 2.0 : 1.0);
+    }
+  };
+  const std::string dir = fresh_dir("persist_tag_separators");
+  {
+    Store s(durable_options(dir));
+    const DataPoint first{kT0, 1.0};
+    const DataPoint second{kT0, 2.0};
+    s.put_batch("m", {{"a", "x,b=y"}}, {&first, 1});
+    s.put_batch("m", {{"a", "x"}, {"b", "y"}}, {&second, 1});
+    check(s);
+    s.seal_all();
+    s.flush();
+    s.close();
+  }
+  const Store r = Store::open(dir);
+  check(r);
+}
+
 TEST(TsdbPersist, DestructorIsCrashEquivalentWalRecovers) {
   const std::string dir = fresh_dir("persist_dtor_wal");
   Store mem;
