@@ -3,7 +3,9 @@
 // jobs appear in a sublist of every portal search and in the daily report.
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pipeline/metrics.hpp"
@@ -27,6 +29,37 @@ struct FlagThresholds {
   double high_cpi = 3.0;            // cycles per instruction
   double low_vec = 0.01;            // VecPercent considered unvectorized
 };
+
+/// Which side of its threshold fails a rule (strictly past it).
+enum class Fails { Above, Below };
+
+/// One flag rule. evaluate_flags() and the detail page's threshold report
+/// (portal::threshold_report) both walk flag_rules(), so a report row
+/// reads FAIL exactly when its flag fires.
+struct FlagRule {
+  const char* name;                   // flag key, e.g. "high_metadata_rate"
+  const char* label;                  // report row, e.g. "metadata rate"
+  double JobMetrics::*metric;         // the Table I metric tested
+  double FlagThresholds::*threshold;  // the boundary it is tested against
+  Fails fails;
+  /// A condition on other metrics the rule needs, or null. Where it does
+  /// not hold the flag cannot fire and the report row reads n/a.
+  bool (*guard)(const JobMetrics&, const FlagThresholds&);
+  bool largemem_only;   // the rule exists only in the largemem queue
+  double detail_scale;  // multiplies the value printed in `detail`
+  const char* detail;   // printf format of Flag::detail, given the value
+};
+
+/// The rules, in flag order.
+std::span<const FlagRule> flag_rules();
+
+/// A rule's verdict on one job. Absent: the rule does not exist in the
+/// job's queue. Unknown: the metric is NaN or the guard does not hold.
+/// Fail: the flag fires.
+enum class Verdict { Absent, Unknown, Pass, Fail };
+
+Verdict judge(const FlagRule& rule, std::string_view queue,
+              const JobMetrics& metrics, const FlagThresholds& thresholds);
 
 /// Evaluates every rule; returns the flags that fired (possibly empty).
 std::vector<Flag> evaluate_flags(const workload::AccountingRecord& acct,

@@ -59,9 +59,8 @@ db::RowId ingest_job(db::Table& jobs, const workload::AccountingRecord& acct,
       runtime_s / 3600.0 * acct.nodes,
       flag_names(flags),
   };
-  const auto values = metrics.as_map();
-  for (const auto& label : JobMetrics::labels()) {
-    const double v = values.at(label);
+  for (const auto& f : JobMetrics::fields()) {
+    const double v = metrics.*f.value;
     if (std::isnan(v)) {
       row.emplace_back();  // NULL
     } else {

@@ -76,52 +76,44 @@ double avg_rate2(const std::vector<HostExtract>& hosts,
 
 }  // namespace
 
+std::span<const JobMetrics::Field> JobMetrics::fields() {
+  using M = JobMetrics;
+  static const Field all[] = {
+      {"MetaDataRate", &M::MetaDataRate}, {"MDCReqs", &M::MDCReqs},
+      {"OSCReqs", &M::OSCReqs}, {"MDCWait", &M::MDCWait},
+      {"OSCWait", &M::OSCWait}, {"LLiteOpenClose", &M::LLiteOpenClose},
+      {"LnetAveBW", &M::LnetAveBW}, {"LnetMaxBW", &M::LnetMaxBW},
+      {"InternodeIBAveBW", &M::InternodeIBAveBW},
+      {"InternodeIBMaxBW", &M::InternodeIBMaxBW},
+      {"Packetsize", &M::Packetsize}, {"Packetrate", &M::Packetrate},
+      {"GigEBW", &M::GigEBW}, {"Load_All", &M::Load_All},
+      {"Load_L1Hits", &M::Load_L1Hits}, {"Load_L2Hits", &M::Load_L2Hits},
+      {"Load_LLCHits", &M::Load_LLCHits}, {"cpi", &M::cpi},
+      {"cpld", &M::cpld}, {"flops", &M::flops},
+      {"VecPercent", &M::VecPercent}, {"mbw", &M::mbw},
+      {"PkgWatts", &M::PkgWatts}, {"CoreWatts", &M::CoreWatts},
+      {"DramWatts", &M::DramWatts}, {"MemUsage", &M::MemUsage},
+      {"MemHWM", &M::MemHWM}, {"CPU_Usage", &M::CPU_Usage},
+      {"idle", &M::idle}, {"catastrophe", &M::catastrophe},
+      {"RampUp", &M::RampUp}, {"TailDrop", &M::TailDrop},
+      {"MIC_Usage", &M::MIC_Usage}};
+  return all;
+}
+
 const std::vector<std::string>& JobMetrics::labels() {
-  static const std::vector<std::string> all = {
-      "MetaDataRate", "MDCReqs", "OSCReqs", "MDCWait", "OSCWait",
-      "LLiteOpenClose", "LnetAveBW", "LnetMaxBW", "InternodeIBAveBW",
-      "InternodeIBMaxBW", "Packetsize", "Packetrate", "GigEBW", "Load_All",
-      "Load_L1Hits", "Load_L2Hits", "Load_LLCHits", "cpi", "cpld", "flops",
-      "VecPercent", "mbw", "PkgWatts", "CoreWatts", "DramWatts", "MemUsage",
-      "MemHWM", "CPU_Usage", "idle", "catastrophe", "RampUp", "TailDrop",
-      "MIC_Usage"};
+  static const std::vector<std::string> all = [] {
+    std::vector<std::string> out;
+    out.reserve(fields().size());
+    for (const Field& f : fields()) out.emplace_back(f.label);
+    return out;
+  }();
   return all;
 }
 
 std::map<std::string, double> JobMetrics::as_map() const {
-  return {{"MetaDataRate", MetaDataRate},
-          {"MDCReqs", MDCReqs},
-          {"OSCReqs", OSCReqs},
-          {"MDCWait", MDCWait},
-          {"OSCWait", OSCWait},
-          {"LLiteOpenClose", LLiteOpenClose},
-          {"LnetAveBW", LnetAveBW},
-          {"LnetMaxBW", LnetMaxBW},
-          {"InternodeIBAveBW", InternodeIBAveBW},
-          {"InternodeIBMaxBW", InternodeIBMaxBW},
-          {"Packetsize", Packetsize},
-          {"Packetrate", Packetrate},
-          {"GigEBW", GigEBW},
-          {"Load_All", Load_All},
-          {"Load_L1Hits", Load_L1Hits},
-          {"Load_L2Hits", Load_L2Hits},
-          {"Load_LLCHits", Load_LLCHits},
-          {"cpi", cpi},
-          {"cpld", cpld},
-          {"flops", flops},
-          {"VecPercent", VecPercent},
-          {"mbw", mbw},
-          {"PkgWatts", PkgWatts},
-          {"CoreWatts", CoreWatts},
-          {"DramWatts", DramWatts},
-          {"MemUsage", MemUsage},
-          {"MemHWM", MemHWM},
-          {"CPU_Usage", CPU_Usage},
-          {"idle", idle},
-          {"catastrophe", catastrophe},
-          {"RampUp", RampUp},
-          {"TailDrop", TailDrop},
-          {"MIC_Usage", MIC_Usage}};
+  std::map<std::string, double> out;
+  for (const Field& f : fields()) out.emplace(f.label, this->*f.value);
+  return out;
 }
 
 JobMetrics compute_metrics(const JobData& data) {

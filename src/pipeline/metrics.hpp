@@ -77,6 +77,11 @@ struct JobMetrics {
                                  //  small = mid-run death (failure)
   double MIC_Usage = nan("");    // avg Phi utilization [0,1]
 
+  /// One Table I metric: its label and the member that holds it.
+  struct Field { const char* label; double JobMetrics::*value; };
+  /// Every metric in labels() order: the list labels() and as_map() read.
+  static std::span<const Field> fields();
+
   /// The metrics as (Table I label -> value) for DB ingest / display.
   std::map<std::string, double> as_map() const;
 

@@ -162,41 +162,26 @@ std::string process_view(const pipeline::JobData& data, std::size_t limit) {
 
 std::string threshold_report(const db::Table& jobs, db::RowId row,
                              const pipeline::FlagThresholds& t) {
+  pipeline::JobMetrics m;  // NULL columns stay NaN
+  for (const auto& f : pipeline::JobMetrics::fields()) {
+    const auto& v = jobs.at(row, f.label);
+    if (!v.is_null()) m.*f.value = v.as_real();
+  }
+  const std::string& queue = jobs.at(row, "queue").as_text();
   util::TextTable table;
   table.header({"Test", "Threshold", "Value", "Result"});
-  const bool largemem = jobs.at(row, "queue").as_text() == "largemem";
-  struct Check {
-    const char* name;
-    const char* metric;
-    double threshold;
-    bool fail_if_above;  // false: fail if below
-    bool applicable;
-  };
-  const Check checks[] = {
-      {"metadata rate", "MetaDataRate", t.metadata_rate, true, true},
-      {"GigE bandwidth", "GigEBW", t.gige_mb_s, true, true},
-      {"largemem footprint", "MemUsage", t.largemem_min_gb, false, largemem},
-      {"node balance (idle)", "idle", t.idle_ratio, false, true},
-      {"time balance (catastrophe)", "catastrophe", t.catastrophe_ratio,
-       false, true},
-      {"cycles per instruction", "cpi", t.high_cpi, true, true},
-      {"vectorization", "VecPercent", t.low_vec, false, true},
-  };
-  for (const auto& check : checks) {
-    if (!check.applicable) continue;
-    const auto& v = jobs.at(row, check.metric);
-    std::string result = "n/a";
-    std::string value = "n/a";
-    if (!v.is_null()) {
-      value = util::TextTable::num(v.as_real(), 4);
-      const bool fail = check.fail_if_above ? v.as_real() > check.threshold
-                                            : v.as_real() < check.threshold;
-      result = fail ? "FAIL" : "PASS";
-    }
-    table.row({check.name,
-               std::string(check.fail_if_above ? "<= " : ">= ") +
-                   util::TextTable::num(check.threshold, 4),
-               value, result});
+  for (const auto& rule : pipeline::flag_rules()) {
+    const pipeline::Verdict verdict = pipeline::judge(rule, queue, m, t);
+    if (verdict == pipeline::Verdict::Absent) continue;
+    const double v = m.*rule.metric;
+    table.row({rule.label,
+               std::string(rule.fails == pipeline::Fails::Above ? "<= "
+                                                                : ">= ") +
+                   util::TextTable::num(t.*rule.threshold, 4),
+               std::isnan(v) ? "n/a" : util::TextTable::num(v, 4),
+               verdict == pipeline::Verdict::Fail   ? "FAIL"
+               : verdict == pipeline::Verdict::Pass ? "PASS"
+                                                    : "n/a"});
   }
   return table.render();
 }

@@ -73,8 +73,11 @@ std::string process_view(const pipeline::JobData& data,
                          std::size_t limit = 40);
 
 /// The threshold-comparison report of the detail page ("which of the
-/// computed metrics passed or failed comparison tests"): every flag rule
-/// with its threshold, the job's value, and PASS/FAIL.
+/// computed metrics passed or failed comparison tests"): one row per flag
+/// rule that exists in the job's queue (pipeline::flag_rules) with its
+/// threshold, the job's value, and PASS/FAIL. A row reads FAIL exactly
+/// when its flag fires, and n/a when the metric is missing or the rule's
+/// guard does not hold.
 std::string threshold_report(const db::Table& jobs, db::RowId row,
                              const pipeline::FlagThresholds& thresholds = {});
 

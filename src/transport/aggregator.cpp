@@ -4,7 +4,6 @@
 #include <chrono>
 #include <exception>
 #include <optional>
-#include <stdexcept>
 #include <string_view>
 #include <utility>
 
@@ -122,18 +121,8 @@ void Aggregator::ingest(std::size_t child, Message msg) {
   const bool is_frame = AggFrame::is_frame(msg.body);
   AggFrame f;
   try {
-    if (is_frame) {
-      f = AggFrame::parse(msg.body);
-    } else {
-      if (msg.producer.empty()) {
-        throw std::invalid_argument("chunk without a producer identity");
-      }
-      f.header_len = header_len_of(msg.producer, msg.body);
-      f.producer = std::move(msg.producer);
-      f.seqs = {msg.seq};
-      f.delays = {0};
-      f.payload = std::move(msg.body);
-    }
+    f = AggFrame::of_message(msg);
+    if (!is_frame) f.header_len = header_len_of(f.producer, f.payload);
   } catch (const std::exception& e) {
     {
       util::MutexLock lock(mu_);
@@ -143,7 +132,6 @@ void Aggregator::ingest(std::size_t child, Message msg) {
     TS_LOG(Warn, "aggregator") << name_ << " parse error: " << e.what();
     return;
   }
-  for (auto& d : f.delays) d += msg.delay;
   {
     util::MutexLock lock(mu_);
     if (is_frame) ++stats_.merged_frames;

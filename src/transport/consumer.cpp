@@ -57,6 +57,10 @@ util::ResilienceStats Consumer::resilience() const {
   return r;
 }
 
+/// Hard cap on crash-fault redeliveries of one message, so a
+/// crash-rate-1.0 plan cannot livelock the queue.
+constexpr std::uint32_t kMaxCrashRedeliveries = 8;
+
 void Consumer::run() {
   using namespace std::chrono_literals;
   while (!stop_.load()) {
@@ -72,23 +76,11 @@ void Consumer::run() {
       // Every message becomes one host's records, each under its (producer,
       // seq) identity: a frame carries N of them behind one header, a plain
       // daemon chunk is a frame of one.
-      AggFrame frame;
-      if (AggFrame::is_frame(msg->body)) {
-        frame = AggFrame::parse(msg->body);
-      } else {
-        if (msg->producer.empty()) {
-          throw std::invalid_argument("chunk without a producer identity");
-        }
-        frame.producer = msg->producer;
-        frame.seqs = {msg->seq};
-        frame.delays = {0};
-        frame.payload = std::move(msg->body);
-      }
+      const AggFrame frame = AggFrame::of_message(*msg);
       collect::HostLog chunk = collect::HostLog::parse(frame.payload);
       if (chunk.records.size() != frame.seqs.size()) {
         throw std::invalid_argument("record/seq count mismatch");
       }
-      for (auto& d : frame.delays) d += msg->delay;
       // Atomic check-and-append under one archive lock: a redelivered
       // record is suppressed here, never double-written.
       std::vector<char> fresh_mask;
@@ -109,7 +101,7 @@ void Consumer::run() {
         callback_(chunk.hostname, chunk);
       }
       if (fresh && faults_ &&
-          msg->attempt <= options_.max_crash_redeliveries) {
+          msg->attempt <= kMaxCrashRedeliveries) {
         const auto fault = faults_->decide(
             util::kFaultConsumerCrash,
             msg->producer.empty() ? queue_ : msg->producer,

@@ -31,9 +31,6 @@ struct ConsumerOptions {
   /// Per-producer sequence numbers remembered for duplicate suppression
   /// (0 = unbounded). Must exceed the deepest possible redelivery gap.
   std::size_t dedup_window = 4096;
-  /// Hard cap on crash-fault redeliveries of one message, so a
-  /// crash-rate-1.0 plan cannot livelock the queue.
-  std::uint32_t max_crash_redeliveries = 8;
 };
 
 class Consumer {

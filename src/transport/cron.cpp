@@ -4,6 +4,11 @@
 
 namespace tacc::transport {
 
+/// Staging window: each node picks a fixed random time in
+/// [kStageWindowStart, kStageWindowEnd) of every day.
+constexpr util::SimTime kStageWindowStart = 1 * util::kHour;
+constexpr util::SimTime kStageWindowEnd = 5 * util::kHour;
+
 CronMode::CronMode(simhw::Cluster& cluster, RawArchive& archive,
                    CronConfig config, JobsProvider jobs_provider)
     : cluster_(&cluster),
@@ -15,12 +20,11 @@ CronMode::CronMode(simhw::Cluster& cluster, RawArchive& archive,
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     nodes_[i].sampler = std::make_unique<collect::HostSampler>(
         cluster.node(i), config.build_options);
-    nodes_[i].stage_offset = config.stage_window_start +
-                             static_cast<util::SimTime>(
-                                 rng.uniform() *
-                                 static_cast<double>(
-                                     config.stage_window_end -
-                                     config.stage_window_start));
+    nodes_[i].stage_offset =
+        kStageWindowStart +
+        static_cast<util::SimTime>(
+            rng.uniform() *
+            static_cast<double>(kStageWindowEnd - kStageWindowStart));
   }
 }
 

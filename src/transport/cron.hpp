@@ -25,10 +25,6 @@ namespace tacc::transport {
 
 struct CronConfig {
   util::SimTime interval = 10 * util::kMinute;
-  /// Staging window: each node picks a fixed random time in
-  /// [stage_window_start, stage_window_end) of every day.
-  util::SimTime stage_window_start = 1 * util::kHour;
-  util::SimTime stage_window_end = 5 * util::kHour;
   collect::BuildOptions build_options{};
   std::uint64_t seed = 42;
   /// Fault plan consulted at "cron.rsync" / "cron.disk" (may be null).

@@ -16,10 +16,15 @@ Outbox::Outbox(Broker& target, std::string producer, std::string_view site,
       policy_(policy),
       faults_(std::move(faults)) {}
 
+/// Retry backoff: the first retry waits kBackoffBase, and each later one
+/// doubles the wait up to kBackoffMax.
+constexpr util::SimTime kBackoffBase = util::kSecond;
+constexpr util::SimTime kBackoffMax = 60 * util::kSecond;
+
 bool Outbox::try_publish(const Entry& entry, util::SimTime now,
                          std::uint64_t slot_base) {
   const int attempts = std::max(1, policy_.max_attempts);
-  util::SimTime backoff = policy_.backoff_base;
+  util::SimTime backoff = kBackoffBase;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     const std::uint64_t slot = slot_base + static_cast<std::uint64_t>(attempt);
     const std::uint64_t salt = util::FaultPlan::salt(entry.seq, slot);
@@ -33,7 +38,7 @@ bool Outbox::try_publish(const Entry& entry, util::SimTime now,
         wait += static_cast<util::SimTime>(static_cast<double>(wait) *
                                            policy_.jitter * (2.0 * u - 1.0));
       }
-      backoff = std::min(backoff * 2, policy_.backoff_max);
+      backoff = std::min(backoff * 2, kBackoffMax);
       util::MutexLock lock(mu_);
       ++stats_.resilience.retries;
       stats_.total_backoff += wait;

@@ -40,9 +40,7 @@ inline constexpr std::string_view kRoutingPrefix = "stats.";
 /// Publish retry/backoff tuning. Backoff is virtual (accounted, not slept):
 /// the simulated daemon retries within one collection tick.
 struct RetryPolicy {
-  int max_attempts = 4;                        // publish attempts per record
-  util::SimTime backoff_base = util::kSecond;  // first retry backoff
-  util::SimTime backoff_max = 60 * util::kSecond;  // backoff growth cap
+  int max_attempts = 4;          // publish attempts per record
   double jitter = 0.1;           // backoff randomized by +/- this fraction
   std::size_t spool_limit = 100000;  // max records spooled locally
 };

@@ -117,6 +117,23 @@ AggFrame AggFrame::parse(std::string_view body) {
   return f;
 }
 
+AggFrame AggFrame::of_message(Message& msg) {
+  AggFrame f;
+  if (is_frame(msg.body)) {
+    f = parse(msg.body);
+  } else {
+    if (msg.producer.empty()) {
+      throw std::invalid_argument("chunk without a producer identity");
+    }
+    f.producer = msg.producer;
+    f.seqs = {msg.seq};
+    f.delays = {0};
+    f.payload = std::move(msg.body);
+  }
+  for (auto& d : f.delays) d += msg.delay;
+  return f;
+}
+
 std::vector<std::pair<std::string, std::uint64_t>> AggFrame::message_seqs(
     const Message& msg) {
   std::vector<std::pair<std::string, std::uint64_t>> out;

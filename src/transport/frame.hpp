@@ -46,6 +46,13 @@ struct AggFrame {
 
   std::string serialize() const;
 
+  /// A message as one host's frame, its delay added to every record's: a
+  /// frame as it is, a plain daemon chunk as a frame of one record under
+  /// the message's (producer, seq), header_len 0. Moves the body out of
+  /// `msg`. Throws std::invalid_argument on a malformed frame or a chunk
+  /// without a producer identity.
+  static AggFrame of_message(Message& msg);
+
   std::size_t record_count() const noexcept { return seqs.size(); }
 
   /// The (producer, seq) identities carried by a message, frame-aware: one

@@ -22,7 +22,7 @@
 // summary-answered bucket is bit-identical to the decoded answer.
 //
 // Durable stores additionally attach downsample *tiers* at seal time
-// (StoreOptions::tier_intervals, e.g. 5 min / 1 h): per tier a compact
+// (5 min and 1 h, constants in store.cpp): per tier a compact
 // byte stream of (bucket, count, min, max) entries partitioning the
 // block's time-sorted points into consecutive interval-aligned runs, each
 // folded with aggregate()'s Min/Max folds. A foldable downsample query

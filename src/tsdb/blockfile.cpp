@@ -91,14 +91,15 @@ void append_tagged_string(std::vector<std::uint8_t>& buf,
 /// either writes it fully or, under an injected crash, a deterministic
 /// torn prefix of it.
 std::vector<std::uint8_t> serialize_segment(
-    std::uint64_t file_seq, std::span<const SeriesPayload> series) {
+    std::uint64_t file_seq, std::span<const SeriesPayload* const> series) {
   std::vector<std::uint8_t> buf;
   coding::put_u32(buf, kSegmentMagic);
   coding::put_u32(buf, kSegmentFormatVersion);
   coding::put_u64(buf, file_seq);
   append_crc(buf, 0);
 
-  for (const auto& sp : series) {
+  for (const SeriesPayload* p : series) {
+    const SeriesPayload& sp = *p;
     const std::size_t rec_start = buf.size();
     buf.push_back(kSegmentSeriesTag);
     append_tagged_string(buf, sp.metric);
@@ -184,7 +185,7 @@ std::string segment_path(const std::string& dir, std::uint64_t seq) {
 }
 
 void write_segment(const std::string& path, std::uint64_t file_seq,
-                   std::span<const SeriesPayload> series,
+                   std::span<const SeriesPayload* const> series,
                    const util::FaultPlan* faults, std::string_view fault_key) {
   const std::vector<std::uint8_t> buf = serialize_segment(file_seq, series);
   write_with_crash_injection(path, buf, faults, util::kFaultBlockFileWrite,

@@ -118,11 +118,12 @@ struct LoadedSegment {
 
 /// Writes a complete segment file at `path` (final name; the file is
 /// inert until a manifest names it). `series` must be sorted by
-/// (metric, canonical tags). When `faults` injects an error at
-/// util::kFaultBlockFileWrite (key `fault_key`, salt `file_seq`), a
-/// deterministic prefix of the file is written and InjectedCrash thrown.
+/// (metric, canonical tags); load_segment returns them in this order.
+/// When `faults` injects an error at util::kFaultBlockFileWrite (key
+/// `fault_key`, salt `file_seq`), a deterministic prefix of the file is
+/// written and InjectedCrash thrown.
 void write_segment(const std::string& path, std::uint64_t file_seq,
-                   std::span<const SeriesPayload> series,
+                   std::span<const SeriesPayload* const> series,
                    const util::FaultPlan* faults, std::string_view fault_key);
 
 /// Maps and fully validates a segment (every CRC, every structural

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -16,6 +17,16 @@ namespace tacc::tsdb {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Downsample tiers attached to every block a durable store seals,
+/// ascending. Month-scale foldable queries whose bucket is a multiple of a
+/// tier interval are answered from tier entries without decoding raw
+/// points. In-memory stores seal without tiers.
+constexpr util::SimTime kTierIntervals[] = {5 * util::kMinute, util::kHour};
+
+/// Compaction merges consecutive non-overlapping persisted blocks of a
+/// series until a merged block would exceed this many points.
+constexpr std::size_t kCompactBlockPoints = 16384;
 
 /// FNV-1a over metric + '\0' + canonical tags: a stable series->shard map
 /// that does not depend on std::hash (so shard assignment, and therefore
@@ -189,6 +200,17 @@ const RetentionPolicy* find_retention(
   return best;
 }
 
+/// A series' interned tag views as an owning TagSet: the form WAL
+/// checkpoints and segment payloads carry.
+TagSet owned_tags(
+    std::span<const std::pair<std::string_view, std::string_view>> tags) {
+  TagSet out;
+  for (const auto& [k, v] : tags) {
+    out.emplace_hint(out.end(), std::string(k), std::string(v));
+  }
+  return out;
+}
+
 /// Parses "wal-<shard>-<gen>.log"; returns false for any other name.
 bool parse_wal_name(const std::string& name, std::uint32_t& shard,
                     std::uint64_t& gen) {
@@ -260,9 +282,6 @@ Store::Store(const StoreOptions& options)
     durable_ = std::make_unique<DurableState>();
     durable_->dir = options.data_dir;
     durable_->wal_sync = options.wal_sync;
-    durable_->tier_intervals = options.tier_intervals;
-    std::sort(durable_->tier_intervals.begin(), durable_->tier_intervals.end());
-    durable_->compact_block_points = options.compact_block_points;
     durable_->retention = options.retention;
     durable_->faults = options.faults;
     recover();
@@ -309,7 +328,7 @@ void Store::seal_prefix(Series& series, std::size_t n) const {
   std::stable_sort(chunk.begin(), chunk.end(), time_less);
   series.blocks.push_back(SealedBlock::seal(
       chunk, durable_ != nullptr
-                 ? std::span<const util::SimTime>(durable_->tier_intervals)
+                 ? std::span<const util::SimTime>(kTierIntervals)
                  : std::span<const util::SimTime>{}));
   series.head.erase(series.head.begin(),
                     series.head.begin() + static_cast<long>(n));
@@ -457,24 +476,26 @@ void Store::check_open() const {
   }
 }
 
-void Store::adopt_segment(const LoadedSegment& seg) {
-  for (const SeriesPayload& payload : seg.series) {
-    const std::string canon = canonical_tags(payload.tags);
-    Shard& shard = shard_for(payload.metric, canon);
-    util::MutexLock lock(shard.mu);
-    Series& series =
-        resolve_series(shard, payload.metric, payload.tags, canon);
-    std::size_t pts = 0;
-    for (const auto& b : payload.blocks) pts += b->count();
-    // Manifest order is oldest-first and recovery loads segments before
-    // replaying any WAL, so blocks land in seal order and the persisted
-    // prefix is the whole vector.
-    series.blocks.insert(series.blocks.end(), payload.blocks.begin(),
-                         payload.blocks.end());
-    series.persisted_blocks = series.blocks.size();
-    series.cum_persisted = std::max(series.cum_persisted, payload.cum_sealed);
-    shard.points.fetch_add(pts, std::memory_order_relaxed);
+void Store::install(Shard& shard, Series& series, std::size_t first,
+                    std::size_t last,
+                    std::span<const std::shared_ptr<const SealedBlock>> blocks,
+                    std::uint64_t cum_sealed) {
+  std::size_t old_pts = 0;
+  for (std::size_t i = first; i < last; ++i) {
+    old_pts += series.blocks[i]->count();
   }
+  std::size_t new_pts = 0;
+  for (const auto& b : blocks) new_pts += b->count();
+  const auto at = series.blocks.begin() + static_cast<long>(first);
+  series.blocks.insert(
+      series.blocks.erase(at, series.blocks.begin() + static_cast<long>(last)),
+      blocks.begin(), blocks.end());
+  series.persisted_blocks = first + blocks.size();
+  // cum_persisted is monotonic: a flush payload raises it, a compaction
+  // payload carries it unchanged, and recovery keeps the larger count.
+  series.cum_persisted = std::max(series.cum_persisted, cum_sealed);
+  // Unsigned wrap-around: a retention drop subtracts.
+  shard.points.fetch_add(new_pts - old_pts, std::memory_order_relaxed);
 }
 
 void Store::rotate_wal(std::uint32_t index, Shard& shard, std::uint64_t gen) {
@@ -486,10 +507,7 @@ void Store::rotate_wal(std::uint32_t index, Shard& shard, std::uint64_t gen) {
     for (const auto& [key, series] : by_tags) {
       rec.type = WalRecordType::Checkpoint;
       rec.metric = metric;
-      rec.tags.clear();
-      for (const auto& [k, v] : series.tags) {
-        rec.tags.emplace(std::string(k), std::string(v));
-      }
+      rec.tags = owned_tags(series.tags);
       rec.cum_sealed = series.cum_persisted;
       // The checkpoint must carry every point no segment covers: sealed
       // blocks past the persisted prefix (blocks sealed during replay, or
@@ -534,7 +552,18 @@ void Store::recover() {
   live.insert("MANIFEST");
   for (const std::uint64_t seq : manifest.segments) {
     const std::string path = segment_path(d.dir, seq);
-    adopt_segment(load_segment(path));
+    const LoadedSegment seg = load_segment(path);
+    for (const SeriesPayload& payload : seg.series) {
+      const std::string canon = canonical_tags(payload.tags);
+      Shard& shard = shard_for(payload.metric, canon);
+      util::MutexLock lock(shard.mu);
+      Series& series =
+          resolve_series(shard, payload.metric, payload.tags, canon);
+      // Manifest order is oldest-first and segments load before any WAL
+      // replays, so every block so far is persisted: append in seal order.
+      const std::size_t end = series.blocks.size();
+      install(shard, series, end, end, payload.blocks, payload.cum_sealed);
+    }
     ++recovery_.segments_loaded;
     live.insert(fs::path(path).filename().string());
   }
@@ -633,23 +662,85 @@ void Store::recover() {
   d.manifest = manifest;
 }
 
-void Store::swap_persisted(const LoadedSegment& seg) {
-  for (const SeriesPayload& payload : seg.series) {
-    const std::string canon = canonical_tags(payload.tags);
-    Shard& shard = shard_for(payload.metric, canon);
-    util::MutexLock lock(shard.mu);
-    Series& series = shard.metrics.find(payload.metric)
-                         ->second.find(canon)
-                         ->second;
-    // The payload's blocks are the mmap-backed copies of exactly
-    // blocks[persisted_blocks .. persisted_blocks + n): ingest only
-    // appends, and the persisted prefix only moves under DurableState::mu,
-    // which flush holds.
-    for (std::size_t i = 0; i < payload.blocks.size(); ++i) {
-      series.blocks[series.persisted_blocks + i] = payload.blocks[i];
+std::vector<Store::Slice> Store::snapshot(bool compaction,
+                                          util::SimTime* data_max) {
+  std::vector<Slice> slices;
+  for (const auto& shard : shards_) {
+    util::MutexLock lock(shard->mu);
+    for (auto& [metric, by_tags] : shard->metrics) {
+      for (auto& [canon, series] : by_tags) {
+        if (data_max != nullptr) {
+          for (const auto& b : series.blocks) {
+            *data_max = std::max(*data_max, b->t_max());
+          }
+          for (const auto& p : series.head) {
+            *data_max = std::max(*data_max, p.time);
+          }
+        }
+        const std::size_t first = compaction ? 0 : series.persisted_blocks;
+        const std::size_t last =
+            compaction ? series.persisted_blocks : series.blocks.size();
+        if (first == last) continue;
+        std::uint64_t cum = series.cum_persisted;
+        for (std::size_t i = std::max(first, series.persisted_blocks); i < last;
+             ++i) {
+          cum += series.blocks[i]->count();
+        }
+        const auto at = series.blocks.begin();
+        slices.push_back({shard.get(), &series, canon, first, last,
+                          {metric, owned_tags(series.tags), cum,
+                           {at + static_cast<long>(first),
+                            at + static_cast<long>(last)}}});
+      }
     }
-    series.persisted_blocks += payload.blocks.size();
-    series.cum_persisted = payload.cum_sealed;
+  }
+  return slices;
+}
+
+void Store::commit(DurableState& d, std::vector<Slice>& slices,
+                   bool compaction) {
+  // The format wants series sorted by (metric, canonical tags) so the same
+  // logical state always produces the same file bytes. The slices stay
+  // valid outside the shard locks: ingest only appends blocks, and the
+  // persisted prefix moves only here, under d.mu.
+  std::vector<Slice*> order;
+  order.reserve(slices.size());
+  for (Slice& s : slices) order.push_back(&s);
+  std::sort(order.begin(), order.end(), [](const Slice* a, const Slice* b) {
+    return std::tie(a->payload.metric, a->canon) <
+           std::tie(b->payload.metric, b->canon);
+  });
+  std::vector<const SeriesPayload*> written;
+  for (const Slice* s : order) {
+    if (!s->payload.blocks.empty()) written.push_back(&s->payload);
+  }
+
+  // Segment first (inert until named), then the manifest commit point.
+  const std::uint64_t seq = d.manifest.next_seq;
+  const std::string path = segment_path(d.dir, seq);
+  write_segment(path, seq, written, d.faults.get(),
+                compaction ? "compact" : "segment");
+  Manifest m = d.manifest;
+  if (compaction) m.segments.clear();
+  m.segments.push_back(seq);
+  m.next_seq = seq + 1;
+  write_manifest(d.dir, m, d.faults.get(),
+                 compaction ? util::kFaultCompactCommit
+                            : util::kFaultBlockFileWrite,
+                 seq);
+  d.manifest = std::move(m);
+
+  // Swap in the mmap-backed copies. load_segment returns series in write
+  // order, so the n-th reloaded series belongs to the n-th written slice.
+  const LoadedSegment seg = load_segment(path);
+  std::size_t next = 0;
+  for (const Slice* s : order) {
+    std::span<const std::shared_ptr<const SealedBlock>> blocks;
+    if (!s->payload.blocks.empty()) blocks = seg.series[next++].blocks;
+    Shard& shard = *s->shard;
+    util::MutexLock lock(shard.mu);
+    install(shard, *s->series, s->first, s->last, blocks,
+            s->payload.cum_sealed);
   }
 }
 
@@ -659,60 +750,9 @@ void Store::flush() {
   auto& d = *durable_;
   util::MutexLock dlock(d.mu);
 
-  // 1. Snapshot every sealed-but-unpersisted block. The snapshot stays
-  // valid while the segment is written outside the shard locks: ingest
-  // only appends, and the persisted prefix moves only under d.mu.
-  std::vector<SeriesPayload> payloads;
-  std::vector<std::string> canons;  // parallel to payloads
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    for (const auto& [metric, by_tags] : shard->metrics) {
-      for (const auto& [key, series] : by_tags) {
-        if (series.blocks.size() <= series.persisted_blocks) continue;
-        SeriesPayload p;
-        p.metric = metric;
-        for (const auto& [k, v] : series.tags) {
-          p.tags.emplace(std::string(k), std::string(v));
-        }
-        p.blocks.assign(
-            series.blocks.begin() +
-                static_cast<long>(series.persisted_blocks),
-            series.blocks.end());
-        std::uint64_t pts = 0;
-        for (const auto& b : p.blocks) pts += b->count();
-        p.cum_sealed = series.cum_persisted + pts;
-        canons.push_back(key);
-        payloads.push_back(std::move(p));
-      }
-    }
-  }
-
-  if (!payloads.empty()) {
-    // The format wants series sorted by (metric, canonical tags) so the
-    // same logical state always produces the same file bytes.
-    std::vector<std::size_t> order(payloads.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                return std::tie(payloads[a].metric, canons[a]) <
-                       std::tie(payloads[b].metric, canons[b]);
-              });
-    std::vector<SeriesPayload> sorted;
-    sorted.reserve(payloads.size());
-    for (const std::size_t i : order) sorted.push_back(std::move(payloads[i]));
-
-    // Segment first (inert until named), then the manifest commit point,
-    // then swap the in-memory blocks for the mmap-backed copies.
-    const std::uint64_t seq = d.manifest.next_seq;
-    const std::string path = segment_path(d.dir, seq);
-    write_segment(path, seq, sorted, d.faults.get(), "segment");
-    Manifest m = d.manifest;
-    m.segments.push_back(seq);
-    m.next_seq = seq + 1;
-    write_manifest(d.dir, m, d.faults.get(), util::kFaultBlockFileWrite, seq);
-    d.manifest = m;
-    swap_persisted(load_segment(path));
-  }
+  // 1. Commit every sealed-but-unpersisted block.
+  std::vector<Slice> slices = snapshot(/*compaction=*/false, nullptr);
+  if (!slices.empty()) commit(d, slices, /*compaction=*/false);
 
   // 2. Rotate every shard's WAL. The fresh checkpoint re-bases each series
   // on its new cum_persisted, so the old generation's batch history —
@@ -736,78 +776,40 @@ bool Store::compact() {
   // Snapshot every persisted prefix, and find the newest timestamp in the
   // store — retention horizons are measured from data time (the store has
   // no clock; see the determinism audit).
-  struct Snap {
-    std::string metric;
-    TagSet tags;
-    std::string canon;
-    std::uint64_t cum = 0;
-    std::vector<std::shared_ptr<const SealedBlock>> blocks;
-  };
-  std::vector<Snap> snaps;
-  util::SimTime data_max = 0;
-  bool have_data = false;
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    for (const auto& [metric, by_tags] : shard->metrics) {
-      for (const auto& [key, series] : by_tags) {
-        for (const auto& b : series.blocks) {
-          if (!have_data || b->t_max() > data_max) data_max = b->t_max();
-          have_data = true;
-        }
-        for (const auto& p : series.head) {
-          if (!have_data || p.time > data_max) data_max = p.time;
-          have_data = true;
-        }
-        if (series.persisted_blocks == 0) continue;
-        Snap s;
-        s.metric = metric;
-        s.canon = key;
-        s.cum = series.cum_persisted;
-        for (const auto& [k, v] : series.tags) {
-          s.tags.emplace(std::string(k), std::string(v));
-        }
-        s.blocks.assign(
-            series.blocks.begin(),
-            series.blocks.begin() + static_cast<long>(series.persisted_blocks));
-        snaps.push_back(std::move(s));
-      }
-    }
-  }
-  if (snaps.empty()) return false;
+  util::SimTime data_max = std::numeric_limits<util::SimTime>::min();
+  std::vector<Slice> slices = snapshot(/*compaction=*/true, &data_max);
+  if (slices.empty()) return false;
 
-  // Plan the rewrite: apply retention, then merge runs of consecutive
-  // non-overlapping raw blocks up to compact_block_points. Re-sealing the
-  // concatenated decode is exact: each block decodes to a sorted run and
-  // next.t_min >= prev.t_max, so the concatenation is the same stable
-  // time-sorted append sequence the original seal saw.
+  // Plan the rewrite of each slice's payload: apply retention, then merge
+  // runs of consecutive non-overlapping raw blocks up to
+  // kCompactBlockPoints. Re-sealing the concatenated decode is exact: each
+  // block decodes to a sorted run and next.t_min >= prev.t_max, so the
+  // concatenation is the same stable time-sorted append sequence the
+  // original seal saw.
   bool changed = d.manifest.segments.size() > 1;
-  const std::span<const util::SimTime> tiers(d.tier_intervals);
-  std::vector<SeriesPayload> payloads;
-  payloads.reserve(snaps.size());
-  std::vector<const Snap*> payload_snaps;
-  for (const Snap& s : snaps) {
-    const RetentionPolicy* policy = find_retention(d.retention, s.metric);
-    SeriesPayload p;
-    p.metric = s.metric;
-    p.tags = s.tags;
-    p.cum_sealed = s.cum;
+  for (Slice& s : slices) {
+    const RetentionPolicy* policy =
+        find_retention(d.retention, s.payload.metric);
+    const std::vector<std::shared_ptr<const SealedBlock>> in =
+        std::exchange(s.payload.blocks, {});
+    auto& out = s.payload.blocks;
     std::vector<std::shared_ptr<const SealedBlock>> run;
     std::size_t run_points = 0;
     const auto emit_run = [&] {
       if (run.empty()) return;
       if (run.size() == 1) {
-        p.blocks.push_back(std::move(run.front()));
+        out.push_back(std::move(run.front()));
       } else {
         std::vector<DataPoint> pts;
         pts.reserve(run_points);
         for (const auto& b : run) b->decode_append(pts);
-        p.blocks.push_back(SealedBlock::seal(pts, tiers));
+        out.push_back(SealedBlock::seal(pts, kTierIntervals));
         changed = true;
       }
       run.clear();
       run_points = 0;
     };
-    for (const auto& b : s.blocks) {
+    for (const auto& b : in) {
       const bool tier_expired = policy != nullptr && policy->tiers > 0 &&
                                 b->t_max() < data_max - policy->tiers;
       const bool raw_expired = policy != nullptr && policy->raw > 0 &&
@@ -824,15 +826,15 @@ bool Store::compact() {
           // still view the old block's buffers, so pin it as backing until
           // the segment write copies the bytes out.
           std::vector<TierLevel> tl(b->tiers().begin(), b->tiers().end());
-          p.blocks.push_back(
+          out.push_back(
               SealedBlock::from_parts(b->summary(), {}, {}, std::move(tl), b));
           changed = true;
         } else {
-          p.blocks.push_back(b);
+          out.push_back(b);
         }
         continue;
       }
-      if (!run.empty() && (run_points + b->count() > d.compact_block_points ||
+      if (!run.empty() && (run_points + b->count() > kCompactBlockPoints ||
                            b->t_min() < run.back()->t_max())) {
         emit_run();
       }
@@ -840,61 +842,11 @@ bool Store::compact() {
       run.push_back(b);
     }
     emit_run();
-    if (!p.blocks.empty()) {
-      payloads.push_back(std::move(p));
-      payload_snaps.push_back(&s);
-    }
   }
   if (!changed) return false;
 
-  std::vector<std::size_t> order(payloads.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return std::tie(payloads[a].metric, payload_snaps[a]->canon) <
-           std::tie(payloads[b].metric, payload_snaps[b]->canon);
-  });
-  std::vector<SeriesPayload> sorted;
-  sorted.reserve(payloads.size());
-  for (const std::size_t i : order) sorted.push_back(std::move(payloads[i]));
-
-  const std::uint64_t seq = d.manifest.next_seq;
-  const std::string path = segment_path(d.dir, seq);
-  write_segment(path, seq, sorted, d.faults.get(), "compact");
-  Manifest m;
-  m.next_seq = seq + 1;
-  m.segments = {seq};
-  write_manifest(d.dir, m, d.faults.get(), util::kFaultCompactCommit, seq);
   const std::vector<std::uint64_t> old_segments = d.manifest.segments;
-  d.manifest = m;
-
-  // Swap each snapshot's persisted prefix for the segment-backed blocks
-  // (or nothing, when retention dropped the whole series).
-  const LoadedSegment seg = load_segment(path);
-  std::map<std::pair<std::string, std::string>, const SeriesPayload*> by_key;
-  for (const SeriesPayload& payload : seg.series) {
-    by_key[{payload.metric, canonical_tags(payload.tags)}] = &payload;
-  }
-  for (const Snap& s : snaps) {
-    Shard& shard = shard_for(s.metric, s.canon);
-    util::MutexLock lock(shard.mu);
-    Series& series =
-        shard.metrics.find(s.metric)->second.find(s.canon)->second;
-    const auto it = by_key.find({s.metric, s.canon});
-    std::size_t old_pts = 0;
-    for (std::size_t i = 0; i < series.persisted_blocks; ++i) {
-      old_pts += series.blocks[i]->count();
-    }
-    std::vector<std::shared_ptr<const SealedBlock>> nb;
-    if (it != by_key.end()) nb = it->second->blocks;
-    std::size_t new_pts = 0;
-    for (const auto& b : nb) new_pts += b->count();
-    series.blocks.erase(
-        series.blocks.begin(),
-        series.blocks.begin() + static_cast<long>(series.persisted_blocks));
-    series.blocks.insert(series.blocks.begin(), nb.begin(), nb.end());
-    series.persisted_blocks = nb.size();
-    shard.points.fetch_sub(old_pts - new_pts, std::memory_order_relaxed);
-  }
+  commit(d, slices, /*compaction=*/true);
 
   // Unlink the superseded segments; query snapshots still holding their
   // blocks keep the mappings alive (POSIX allows unlink-while-mapped).

@@ -133,14 +133,6 @@ struct StoreOptions {
   std::string data_dir;
   /// When WAL appends are fsync'd (durable stores only). See tsdb::WalSync.
   WalSync wal_sync = WalSync::OnFlush;
-  /// Downsample tiers attached to every block sealed by a durable store,
-  /// ascending. Month-scale foldable queries whose bucket is a multiple of
-  /// a tier interval are answered from tier entries without decoding raw
-  /// points. Ignored (no tiers) for in-memory stores.
-  std::vector<util::SimTime> tier_intervals = {5 * util::kMinute, util::kHour};
-  /// Compaction merges consecutive non-overlapping persisted blocks of a
-  /// series until a merged block would exceed this many points.
-  std::size_t compact_block_points = 16384;
   /// Retention by metric family: longest matching key that is a prefix of
   /// the metric name wins; unmatched metrics are kept forever. Applied at
   /// compaction time only.
@@ -264,12 +256,10 @@ class Store {
   /// Per-tier storage accounting. Thread-safe.
   StorageStats storage_stats() const;
 
-  /// True when the store was opened with a data_dir.
-  bool durable() const noexcept { return durable_ != nullptr; }
-
-  /// Persists every sealed-but-unpersisted block into a new segment,
-  /// commits the manifest, swaps the in-memory copies for the segment's
-  /// memory-mapped ones, and rotates each shard's WAL (checkpointing the
+  /// Persists every sealed-but-unpersisted block through the commit path
+  /// flush and compaction share (snapshot -> segment -> manifest -> reload
+  /// -> install; the install swaps the in-memory copies for the segment's
+  /// memory-mapped ones), then rotates each shard's WAL (checkpointing the
   /// current heads, then deleting the old generation). No-op for in-memory
   /// stores. Thread-safe against concurrent ingest and queries; flush and
   /// compact serialize against each other. On InjectedCrash the store must
@@ -277,13 +267,13 @@ class Store {
   /// point — that is the crash-recovery test matrix).
   void flush();
 
-  /// Rewrites all persisted state into one segment: merges consecutive
-  /// non-overlapping blocks up to compact_block_points, applies retention
-  /// (raw-expired blocks become ghosts, tier-expired ghosts are dropped),
-  /// commits the manifest, swaps in the new mapping, and deletes the old
-  /// segments. Query results are byte-identical before and after, except
-  /// for points removed by retention. Returns false if there was nothing
-  /// to do. No-op (false) for in-memory stores. Thread-safe like flush().
+  /// Rewrites all persisted state into one segment through the same commit
+  /// path as flush(): merges consecutive non-overlapping blocks of up to
+  /// 16384 points, applies retention (raw-expired blocks become ghosts,
+  /// tier-expired ghosts are dropped), then deletes the old segments.
+  /// Query results are byte-identical before and after, except for points
+  /// removed by retention. Returns false if there was nothing to do. No-op
+  /// (false) for in-memory stores. Thread-safe like flush().
   bool compact();
 
   /// flush() + fsync + release the WAL writers. After close() every
@@ -330,8 +320,8 @@ class Store {
     /// Mutable tail of the append sequence.
     std::vector<DataPoint> head;
     bool head_sorted = true;
-    /// Length of the segment-backed prefix of `blocks`. Only flush() and
-    /// compact() (serialized by DurableState::mu) change it.
+    /// Length of the segment-backed prefix of `blocks`. Only install()
+    /// changes it: under DurableState::mu, or in recovery before sharing.
     std::size_t persisted_blocks = 0;
     /// Points ever persisted into segments, monotonic across compaction
     /// and retention; WAL replay uses it to skip segment-covered points.
@@ -344,6 +334,9 @@ class Store {
     std::set<std::string, std::less<>> intern TACC_GUARDED_BY(mu);
     // metric -> canonical tag string -> series (ordered: queries traverse
     // series in canonical order, which keeps aggregation deterministic).
+    // Nothing ever erases from these maps, and std::map nodes do not move
+    // on insert, so a Series* (and its key) stays valid for the store's
+    // life: a commit's slices hold them across the shard locks.
     std::map<std::string, std::map<std::string, Series, std::less<>>,
              std::less<>>
         metrics TACC_GUARDED_BY(mu);
@@ -360,13 +353,22 @@ class Store {
   struct DurableState {
     std::string dir;
     WalSync wal_sync = WalSync::OnFlush;
-    std::vector<util::SimTime> tier_intervals;
-    std::size_t compact_block_points = 16384;
     std::map<std::string, RetentionPolicy> retention;
     std::shared_ptr<const util::FaultPlan> faults;
     util::Mutex mu;
     Manifest manifest TACC_GUARDED_BY(mu);
     std::atomic<bool> closed{false};
+  };
+  /// One series' part of a segment commit: the block range [first, last)
+  /// the segment replaces, and the payload written in its place. A payload
+  /// left without blocks is not written and installs an empty range.
+  struct Slice {
+    Shard* shard = nullptr;
+    Series* series = nullptr;
+    std::string_view canon;  // the series' map key: the write order
+    std::size_t first = 0;
+    std::size_t last = 0;
+    SeriesPayload payload;
   };
   /// A matched series snapshot plus its per-series query result; the
   /// snapshot (block refs + head copy) is taken under the shard lock and
@@ -403,17 +405,28 @@ class Store {
   // --- durable internals (all require durable_ != nullptr) ---
   /// Recovery: manifest -> segments -> WAL replay -> rotation -> cleanup.
   void recover();
-  /// Adopts one validated segment's series into the shards (recovery).
-  void adopt_segment(const LoadedSegment& seg);
   /// Writes a fresh WAL generation for `shard`: a checkpoint of every
   /// series (cum_persisted + head points) closed by the end marker, synced,
   /// swapped in, and the previous generation's file deleted.
   void rotate_wal(std::uint32_t index, Shard& shard, std::uint64_t gen)
       TACC_REQUIRES(shard.mu);
-  /// Flush step: swaps each series' freshly persisted blocks for the
-  /// segment-backed copies loaded from `seg` and extends the persisted
-  /// prefix. (Compaction swaps whole prefixes inline in compact().)
-  void swap_persisted(const LoadedSegment& seg);
+  /// Commit step 1: one slice per series whose range is non-empty — the
+  /// unpersisted blocks for a flush, the persisted prefix for a compaction.
+  /// `data_max`, when given, is raised to the newest data time stored.
+  std::vector<Slice> snapshot(bool compaction, util::SimTime* data_max);
+  /// The commit path of flush() and compact(): segment -> manifest (flush
+  /// appends the segment, compaction replaces every segment) -> reload ->
+  /// install each reloaded series over its slice's range.
+  void commit(DurableState& d, std::vector<Slice>& slices, bool compaction)
+      TACC_REQUIRES(d.mu);
+  /// The one rule that puts segment-backed blocks into a series, for flush,
+  /// compaction and recovery: `blocks` replace series.blocks[first, last),
+  /// the persisted prefix ends right after them, cum_persisted rises to
+  /// `cum_sealed`, and the shard's point count moves by the difference.
+  void install(Shard& shard, Series& series, std::size_t first,
+               std::size_t last,
+               std::span<const std::shared_ptr<const SealedBlock>> blocks,
+               std::uint64_t cum_sealed) TACC_REQUIRES(shard.mu);
   /// Computes one matched series' downsampled buckets from its snapshot.
   static void process_series(const Query& q, Partial& p);
   std::vector<SeriesResult> query_impl(const Query& q,

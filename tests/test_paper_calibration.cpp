@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
 
 #include "pipeline/ingest.hpp"
 #include "pipeline/minisim.hpp"
+#include "portal/views.hpp"
 #include "util/stats.hpp"
 #include "workload/generator.hpp"
 
@@ -168,6 +173,44 @@ TEST_F(CalibrationTest, FlagBreakdownCoversPaperRules) {
   EXPECT_GT(gige.size(), 0u);
   EXPECT_GT(largemem.size(), 0u);
   EXPECT_GE(storm.size(), 30u);  // at least the storm cohort
+}
+
+TEST_F(CalibrationTest, ReportFailRowsMatchStoredFlags) {
+  // The detail page's PASS/FAIL report and the stored flags must agree on
+  // every job: a report row reads FAIL exactly when its flag fired.
+  const std::map<std::string, std::string> flag_of_row = {
+      {"metadata rate", "high_metadata_rate"},
+      {"GigE bandwidth", "high_gige"},
+      {"largemem footprint", "largemem_underuse"},
+      {"node balance (idle)", "idle_nodes"},
+      {"time balance (catastrophe)", "cpu_time_variation"},
+      {"ramp-up", "cpu_ramp_up"},
+      {"tail drop", "cpu_tail_drop"},
+      {"cycles per instruction", "high_cpi"},
+      {"vectorization", "low_vectorization"},
+  };
+  const auto& t = jobs_table();
+  std::size_t flagged = 0;
+  for (const db::RowId row : t.select({})) {
+    std::set<std::string> stored;
+    std::stringstream flags(t.at(row, "flags").as_text());
+    for (std::string name; std::getline(flags, name, ',');) {
+      stored.insert(name);
+    }
+    flagged += stored.empty() ? 0 : 1;
+    std::set<std::string> failed;
+    std::stringstream report(portal::threshold_report(t, row));
+    for (std::string line; std::getline(report, line);) {
+      for (const auto& [label, flag] : flag_of_row) {
+        if (line.starts_with(label) &&
+            line.find(" FAIL") != std::string::npos) {
+          failed.insert(flag);
+        }
+      }
+    }
+    EXPECT_EQ(failed, stored) << "job " << t.at(row, "jobid").to_string();
+  }
+  EXPECT_GT(flagged, 0u);
 }
 
 TEST_F(CalibrationTest, PowerBreakdownIsPhysical) {

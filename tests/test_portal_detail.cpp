@@ -2,6 +2,9 @@
 // and the group (project allocation) aggregation.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "pipeline/ingest.hpp"
 #include "pipeline/minisim.hpp"
 #include "portal/report.hpp"
@@ -113,6 +116,75 @@ TEST(ThresholdReport, LargememCheckOnlyInLargememQueue) {
   EXPECT_NE(report.find("FAIL"), std::string::npos);
   // NaN metrics render as n/a, never as PASS/FAIL.
   EXPECT_NE(report.find("n/a"), std::string::npos);
+}
+
+/// The Result cell of the report row labelled `label`; "" if no such row.
+std::string row_result(const std::string& report, const std::string& label) {
+  std::stringstream lines(report);
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.starts_with(label)) continue;
+    std::stringstream cells(line);
+    std::string cell;
+    std::string last;
+    while (cells >> cell) last = cell;
+    return last;
+  }
+  return "";
+}
+
+/// Ingests one normal-queue job with `m` and the flags it raises; returns
+/// its threshold report and sets `flags` to the stored flag names.
+std::string report_for(const pipeline::JobMetrics& m, std::string& flags) {
+  db::Database database;
+  auto& jobs = pipeline::create_jobs_table(database);
+  workload::AccountingRecord acct;
+  acct.jobid = 3;
+  acct.user = "u";
+  acct.exe = "x";
+  acct.queue = "normal";
+  acct.status = "COMPLETED";
+  acct.nodes = 2;
+  acct.start_time = 0;
+  acct.end_time = util::kHour;
+  pipeline::ingest_job(jobs, acct, m, pipeline::evaluate_flags(acct, m));
+  flags = jobs.at(0, "flags").as_text();
+  return threshold_report(jobs, 0);
+}
+
+TEST(ThresholdReport, VectorizationIsJudgedOnlyForFpActiveJobs) {
+  pipeline::JobMetrics m;
+  m.VecPercent = 0.005;  // below low_vec ...
+  m.flops = 0.05;        // ... but the job does almost no FP work
+  std::string flags;
+  std::string report = report_for(m, flags);
+  EXPECT_EQ(flags, "");
+  EXPECT_EQ(row_result(report, "vectorization"), "n/a");
+  m.flops = 2.0;  // FP-active: the same VecPercent fails
+  report = report_for(m, flags);
+  EXPECT_EQ(flags, "low_vectorization");
+  EXPECT_EQ(row_result(report, "vectorization"), "FAIL");
+}
+
+TEST(ThresholdReport, RampUpJobFailsTheRampUpRow) {
+  pipeline::JobMetrics m;
+  m.RampUp = 0.1;    // slow start ...
+  m.TailDrop = 0.9;  // ... and a healthy end
+  std::string flags;
+  const std::string report = report_for(m, flags);
+  EXPECT_EQ(flags, "cpu_ramp_up");
+  EXPECT_EQ(row_result(report, "ramp-up"), "FAIL");
+  EXPECT_EQ(row_result(report, "tail drop"), "PASS");
+}
+
+TEST(ThresholdReport, TailDropJobFailsTheTailDropRow) {
+  pipeline::JobMetrics m;
+  m.RampUp = 0.1;
+  m.TailDrop = 0.1;  // collapsed at the end: a failure, not a compile step
+  std::string flags;
+  const std::string report = report_for(m, flags);
+  EXPECT_EQ(flags, "cpu_tail_drop");
+  EXPECT_EQ(row_result(report, "tail drop"), "FAIL");
+  EXPECT_EQ(row_result(report, "ramp-up"), "n/a");
 }
 
 TEST(GroupReport, AggregatesByAccount) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -357,6 +358,102 @@ TEST(TsdbConcurrent, QueriesDuringIngestAndConcurrentSealing) {
   for (auto q : probe_queries()) {
     q.group_by = {"host"};
     expect_identical(flat.query(q), store.query(q));
+  }
+}
+
+// The durable commit path under concurrency: writers put, a reader
+// queries, and one thread loops flush() and compact() over a store with
+// small blocks. Afterwards, and after a reopen, the store answers exactly
+// like a serial in-memory mirror.
+TEST(TsdbConcurrent, FlushAndCompactDuringIngestAndQueries) {
+  constexpr int kWriters = 3;
+  constexpr int kSeriesPerWriter = 4;
+  constexpr int kBatches = 40;
+  constexpr int kBatchPoints = 8;
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "concurrent_commit";
+  std::filesystem::remove_all(dir);
+  StoreOptions opts;
+  opts.shards = 4;
+  opts.block_points = 16;
+  opts.data_dir = dir.string();
+  const auto host = [](int w, int s) {
+    return "h" + std::to_string(w) + "-" + std::to_string(s);
+  };
+
+  Store mirror(StoreOptions{.shards = 1, .block_points = 0});
+  for (int w = 0; w < kWriters; ++w) {
+    for (int s = 0; s < kSeriesPerWriter; ++s) {
+      for (int seq = 0; seq < kBatches * kBatchPoints; ++seq) {
+        mirror.put("m", {{"host", host(w, s)}}, kT0 + seq * util::kSecond,
+                   static_cast<double>(seq));
+      }
+    }
+  }
+
+  std::atomic<std::size_t> failures{0};
+  {
+    Store store(opts);
+    std::atomic<bool> done{false};
+    std::atomic<int> cycles{0};
+    std::thread committer([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        store.flush();
+        store.compact();
+        cycles.fetch_add(1, std::memory_order_release);
+      }
+    });
+    std::thread reader([&] {
+      Query q;
+      q.metric = "m";
+      q.group_by = {"host"};
+      q.downsample = util::kMinute;
+      q.downsample_aggregator = Aggregator::Max;
+      while (!done.load(std::memory_order_acquire)) {
+        for (const auto& r : store.query(q)) {
+          for (std::size_t p = 1; p < r.points.size(); ++p) {
+            if (r.points[p].value < r.points[p - 1].value) {
+              failures.fetch_add(1);
+            }
+          }
+        }
+      }
+    });
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&store, &host, &cycles, w] {
+        for (int b = 0; b < kBatches; ++b) {
+          // Pace the writers so several commits land mid-ingest.
+          while (cycles.load(std::memory_order_acquire) < b / 8) {
+            std::this_thread::yield();
+          }
+          for (int s = 0; s < kSeriesPerWriter; ++s) {
+            std::vector<DataPoint> run;
+            for (int p = 0; p < kBatchPoints; ++p) {
+              const int seq = b * kBatchPoints + p;
+              run.push_back({kT0 + seq * util::kSecond,
+                             static_cast<double>(seq)});
+            }
+            store.put_batch("m", {{"host", host(w, s)}}, run);
+          }
+        }
+      });
+    }
+    for (auto& t : writers) t.join();
+    done.store(true, std::memory_order_release);
+    reader.join();
+    committer.join();
+
+    EXPECT_EQ(store.num_points(), mirror.num_points());
+    for (const auto& q : probe_queries()) {
+      expect_identical(mirror.query(q), store.query(q));
+    }
+  }  // no close(): the reopen recovers from segments + WAL
+  EXPECT_EQ(failures.load(), 0u);
+  Store reopened(opts);
+  EXPECT_EQ(reopened.num_points(), mirror.num_points());
+  for (const auto& q : probe_queries()) {
+    expect_identical(mirror.query(q), reopened.query(q));
   }
 }
 

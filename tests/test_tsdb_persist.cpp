@@ -422,6 +422,66 @@ TEST(TsdbPersist, RetentionGhostsServeTiersThenExpire) {
   expect_identical(r.query(q), mem.query(q));
 }
 
+TEST(TsdbPersist, CompactionDroppingAWholePrefixKeepsCountsExact) {
+  // Retention drops one series' whole persisted prefix (its commit slice
+  // writes nothing and installs an empty range) while another series keeps
+  // its data. Point counts and queries must stay exact through a later
+  // put, flush and reopen.
+  const std::string dir = fresh_dir("persist_whole_prefix");
+  StoreOptions o = durable_options(dir);
+  o.block_points = 60;
+  // Data time reaches 7h59m; the "old" series ends at 2h, so every one of
+  // its blocks is past the 1 h tier horizon.
+  o.retention["taccstats.old."] = {0, util::kHour};
+  const TagSet tags = {{"host", "c400-000"}};
+  Store mem;
+  const auto expect_mirrored = [&](const Store& s) {
+    EXPECT_EQ(s.num_points(), mem.num_points());
+    for (const char* metric : {"taccstats.cpu.user", "taccstats.old.cpu"}) {
+      Query q;
+      q.metric = metric;
+      expect_identical(s.query(q), mem.query(q));
+      q.downsample = util::kHour;
+      q.downsample_aggregator = Aggregator::Max;
+      expect_identical(s.query(q), mem.query(q));
+    }
+  };
+  {
+    Store s(o);
+    for (int i = 0; i < 8 * 60; ++i) {
+      const util::SimTime t = kT0 + i * util::kMinute;
+      s.put("taccstats.cpu.user", tags, t, 1000.0 + i);
+      mem.put("taccstats.cpu.user", tags, t, 1000.0 + i);
+      if (i < 2 * 60) s.put("taccstats.old.cpu", tags, t, 5.0 + i);
+    }
+    s.seal_all();
+    s.flush();
+    const std::size_t points_before = s.num_points();
+    ASSERT_TRUE(s.compact());
+    EXPECT_EQ(s.num_points(), points_before - 2 * 60);
+    EXPECT_EQ(s.num_points(), mem.num_points());
+    Query old;
+    old.metric = "taccstats.old.cpu";
+    for (const auto& r : s.query(old)) EXPECT_TRUE(r.points.empty());
+    Query kept;
+    kept.metric = "taccstats.cpu.user";
+    expect_identical(s.query(kept), mem.query(kept));
+
+    // The emptied series takes new data again.
+    const util::SimTime t = kT0 + 8 * util::kHour;
+    s.put("taccstats.old.cpu", tags, t, 42.0);
+    mem.put("taccstats.old.cpu", tags, t, 42.0);
+    s.seal_all();
+    s.flush();
+    const StorageStats st = s.storage_stats();
+    EXPECT_EQ(s.num_points(), st.head_points + st.sealed_points);
+    EXPECT_EQ(s.num_points(), s.disk_stats().persisted_points);
+    expect_mirrored(s);
+  }  // no close(): the reopen below recovers from segments + WAL
+  Store r(o);
+  expect_mirrored(r);
+}
+
 // ---- close(), sync modes, stats ----------------------------------------
 
 TEST(TsdbPersist, CloseRejectsMutationsButServesQueries) {
