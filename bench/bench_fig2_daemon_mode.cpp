@@ -105,7 +105,7 @@ void report() {
   t.row("tsdb load (8 workers, batched)", "-",
         bench::num(static_cast<double>(par_stats.points) / par_s / 1e6, 3) +
             " Mpoints/s",
-        "per-shard staging, put_batches flush");
+        "per-host staging, one put per batch");
   t.print();
 }
 

@@ -71,26 +71,23 @@ void report() {
 // downsampled per-node aggregate the plot needs.
 void load_panels(tsdb::Store& store,
                  const std::vector<pipeline::NodeSeries>& series) {
-  std::vector<tsdb::SeriesBatch> batches;
   for (const auto& node : series) {
     const std::pair<const char*, const std::vector<double>*> panels[] = {
         {"gflops", &node.gflops},        {"mem_bw_gbps", &node.mem_bw_gbps},
         {"mem_used_gb", &node.mem_used_gb}, {"lustre_mbps", &node.lustre_mbps},
         {"ib_mpi_mbps", &node.ib_mpi_mbps}, {"cpu_user", &node.cpu_user}};
     for (const auto& [name, values] : panels) {
-      tsdb::SeriesBatch batch;
-      batch.metric = std::string("job.") + name;
-      batch.tags = {{"host", node.hostname}};
+      std::vector<tsdb::DataPoint> points;
       for (std::size_t i = 0; i < node.times.size(); ++i) {
         // times are interval-midpoint seconds since epoch
         const auto t = static_cast<util::SimTime>(node.times[i]) *
                        util::kSecond;
-        batch.points.push_back({t, (*values)[i]});
+        points.push_back({t, (*values)[i]});
       }
-      batches.push_back(std::move(batch));
+      store.put_batch(std::string("job.") + name, {{"host", node.hostname}},
+                      points);
     }
   }
-  store.put_batches(batches);
 }
 
 void report_tsdb() {

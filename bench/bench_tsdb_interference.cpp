@@ -106,16 +106,10 @@ InterferenceSetup run_interference() {
     bool have_prev = false;
     const std::string user = host >= "c400-009" ? "wrfuser42" : "victim";
     // Stage each host's two derived series and append them as whole runs:
-    // the put_batch hot path resolves the series once per host instead of
-    // once per point.
-    tsdb::SeriesBatch reqs_batch{
-        "lustre.mdc.reqs_ps",
-        {{"host", host}, {"type", "mdc"}, {"event", "reqs"}, {"user", user}},
-        {}};
-    tsdb::SeriesBatch wait_batch{
-        "lustre.mdc.wait_us",
-        {{"host", host}, {"type", "mdc"}, {"event", "wait"}, {"user", user}},
-        {}};
+    // put_batch resolves each series once per host instead of once per
+    // point.
+    std::vector<tsdb::DataPoint> reqs_points;
+    std::vector<tsdb::DataPoint> wait_points;
     for (const auto& rec : log.records) {
       std::uint64_t reqs = 0;
       std::uint64_t wait = 0;
@@ -130,8 +124,8 @@ InterferenceSetup run_interference() {
         const double rate = dreqs / util::to_seconds(rec.time - prev_t);
         const util::SimTime bucket =
             rec.time - rec.time % (10 * util::kMinute);
-        reqs_batch.points.push_back({bucket, rate});
-        wait_batch.points.push_back(
+        reqs_points.push_back({bucket, rate});
+        wait_points.push_back(
             {bucket, static_cast<double>(wait - prev_wait) / dreqs});
       }
       prev_reqs = reqs;
@@ -139,9 +133,14 @@ InterferenceSetup run_interference() {
       prev_t = rec.time;
       have_prev = true;
     }
-    const tsdb::SeriesBatch batches[] = {std::move(reqs_batch),
-                                         std::move(wait_batch)};
-    setup.store.put_batches(batches);
+    setup.store.put_batch(
+        "lustre.mdc.reqs_ps",
+        {{"host", host}, {"type", "mdc"}, {"event", "reqs"}, {"user", user}},
+        reqs_points);
+    setup.store.put_batch(
+        "lustre.mdc.wait_us",
+        {{"host", host}, {"type", "mdc"}, {"event", "wait"}, {"user", user}},
+        wait_points);
   }
 
   // Extract the two aligned series via tsdb queries.
@@ -413,15 +412,20 @@ void report_persistence() {
   double ingest_s = 0.0;
   tsdb::DiskStats disk;  // captured at the flushed state, pre-tail
   std::size_t flushed_points = 0;
+  double wal_bytes_per_point = 0.0;  // the bulk load's WAL, pre-flush
   {
     tsdb::Store durable(dur_opts);
     pipeline::TsdbIngestOptions io;
     io.seal = true;
     const auto t0 = std::chrono::steady_clock::now();
     pipeline::ingest_archive_tsdb(durable, archive, nullptr, io);
+    const auto t1 = std::chrono::steady_clock::now();
+    wal_bytes_per_point = static_cast<double>(durable.disk_stats().wal_bytes) /
+                          static_cast<double>(durable.num_points());
+    const auto t2 = std::chrono::steady_clock::now();
     durable.flush();  // segments + rotated WAL checkpoints on disk
     const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0;
+        (t1 - t0) + (std::chrono::steady_clock::now() - t2);
     ingest_s = dt.count();
     disk = durable.disk_stats();
     flushed_points = durable.num_points();
@@ -511,6 +515,9 @@ void report_persistence() {
   t.row("disk, tier streams", "-",
         bench::num(tier_share * 100.0, 1) + "% of segment bytes",
         "5-min + 1-h precomputed rollups");
+  t.row("WAL after the bulk load", "-",
+        bench::num(wal_bytes_per_point, 2) + " B/point",
+        "one frame per shard per put, series defined once per generation");
   t.row("ingest+seal+flush", "-",
         bench::num(static_cast<double>(flushed_points) / ingest_s / 1e6, 3) +
             " Mpoints/s",
@@ -548,6 +555,7 @@ void report_persistence() {
   json.put("disk.tier_bytes", disk.tier_bytes);
   json.put("disk.wal_bytes", disk.wal_bytes);
   json.put("disk.persisted_points", disk.persisted_points);
+  json.put("ingest.wal_bytes_per_point", wal_bytes_per_point);
   json.put("ingest.flush_mpoints_per_s",
            static_cast<double>(flushed_points) / ingest_s / 1e6);
   json.put("recovery.open_ms", open_dt.count() * 1e3);
@@ -580,9 +588,10 @@ BENCHMARK(BM_TsdbPut);
 // The same synthetic stream for every variant: kHosts hosts, each with
 // kEvents series of kPoints in-order points (the shape the archive loader
 // produces). The seed-equivalent baseline ingests it with per-point put()
-// into a single-shard store from one thread; the batched variant stages
-// per-series runs and flushes via put_batches() from N pool workers, with
-// shard count and flush batch size as knobs.
+// into a single-shard store from one thread; the batched variant resolves
+// each series to a handle once, stages per-series runs and flushes them
+// with one put() per batch from N pool workers, with shard count and
+// flush batch size as knobs.
 constexpr int kIngestHosts = 16;
 constexpr int kIngestEvents = 16;
 constexpr int kIngestPoints = 512;
@@ -623,25 +632,31 @@ void BM_TsdbIngestBatched(benchmark::State& state) {
   for (auto _ : state) {
     tsdb::Store store(tsdb::StoreOptions{shards});
     pool.parallel_for(kIngestHosts, [&](std::size_t h) {
-      std::vector<tsdb::SeriesBatch> staged(kIngestEvents);
+      std::vector<std::vector<tsdb::DataPoint>> staged(kIngestEvents);
+      std::vector<tsdb::Store::Run> runs;
       for (int e = 0; e < kIngestEvents; ++e) {
-        staged[e].metric = ingest_metric(e);
-        staged[e].tags = ingest_tags(static_cast<int>(h), e);
+        runs.push_back({store.series(ingest_metric(e),
+                                     ingest_tags(static_cast<int>(h), e)),
+                        {}});
       }
+      const auto flush = [&] {
+        for (int e = 0; e < kIngestEvents; ++e) runs[e].points = staged[e];
+        store.put(runs);
+        for (auto& pts : staged) pts.clear();
+      };
       std::size_t staged_points = 0;
       for (int p = 0; p < kIngestPoints; ++p) {
         for (int e = 0; e < kIngestEvents; ++e) {
-          staged[e].points.push_back(
+          staged[e].push_back(
               {kStart + p * util::kMinute, static_cast<double>(p)});
         }
         staged_points += kIngestEvents;
         if (staged_points >= batch) {
-          store.put_batches(staged);
-          for (auto& b : staged) b.points.clear();
+          flush();
           staged_points = 0;
         }
       }
-      store.put_batches(staged);
+      flush();
     });
     benchmark::DoNotOptimize(store.num_points());
   }

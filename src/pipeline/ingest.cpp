@@ -93,37 +93,50 @@ namespace {
 /// Prefix of every generated metric name: <prefix>.<type>.<event>.
 constexpr std::string_view kMetricPrefix = "taccstats";
 
-constexpr std::uint32_t kNoBatch = 0xffffffffu;
+constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
 /// One host's way into the store, shared by the archive and text loads.
 /// It is a RecordViewParser sink: record() once per record, then block()
-/// once per data row of that record. Points are staged in per-series
-/// batches and put with one Store::put_batches at the first record
-/// boundary after batch_points are staged; flush() puts the rest.
+/// once per data row of that record. Points are staged per series and put
+/// with one Store::put at the first record boundary after batch_points
+/// are staged; flush() puts the rest.
 struct HostSink {
   HostSink(tsdb::Store& s, std::string_view h, std::size_t batch,
            PipelineMetrics* m)
       : store(s), host(h), batch_points(batch), metrics(m) {}
+
+  /// One series' staging slot. The series is resolved in the store at
+  /// the slot's first put, so points staged but never put (a text ingest
+  /// that fails first) create no series.
+  struct Slot {
+    std::string metric;
+    tsdb::TagSet tags;
+    tsdb::Store::Handle series;
+    std::vector<tsdb::DataPoint> points;
+  };
 
   tsdb::Store& store;
   std::string_view host;
   std::size_t batch_points;
   PipelineMetrics* metrics;
 
-  std::vector<tsdb::SeriesBatch> batches;
-  // (type \1 device) -> per-event batch slots: slot i holds the batch
-  // index for schema event i, kNoBatch until its first point. One hash
-  // lookup per data row instead of one per point.
+  std::vector<Slot> slots;
+  /// Slots holding staged points, in first-point order since the last
+  /// flush: a flush visits these, not every slot of the host.
+  std::vector<std::uint32_t> staged;
+  std::vector<tsdb::Store::Run> runs;  // reused put scratch
+  // (type \1 device) -> per-event slots: entry i holds the slot index for
+  // schema event i, kNoSlot until its first point. One hash lookup per
+  // data row instead of one per point.
   // Determinism audit (DT002): `index` is lookup-only (find/emplace) and
-  // never iterated — output order comes from `batches`, which appends in
-  // first-point order, i.e. the deterministic order of the parsed raw
-  // log. The store then re-keys every batch under Shard::metrics (an
-  // ordered std::map), so archive bytes never see this container's bucket
-  // order.
+  // never iterated — output order comes from `slots` and `staged`, which
+  // append in first-point order, i.e. the deterministic order of the
+  // parsed raw log. The store keys every series under Shard::metrics (an ordered
+  // std::map), so archive bytes never see this container's bucket order.
   std::unordered_map<std::string, std::vector<std::uint32_t>> index;
   std::size_t staged_points = 0;
   std::size_t points = 0;    // put into the store so far
-  std::uint64_t put_ns = 0;  // time in put_batches (only with metrics)
+  std::uint64_t put_ns = 0;  // time in Store calls (only with metrics)
   std::string key;           // reused lookup scratch
   util::SimTime time = 0;    // the current record's timestamp
 
@@ -146,31 +159,32 @@ struct HostSink {
     if (it == index.end()) {
       it = index
                .emplace(key,
-                        std::vector<std::uint32_t>(schema.size(), kNoBatch))
+                        std::vector<std::uint32_t>(schema.size(), kNoSlot))
                .first;
     }
-    std::vector<std::uint32_t>& slots = it->second;
+    std::vector<std::uint32_t>& ids = it->second;
     for (std::size_t i = 0; i < n; ++i) {
-      std::uint32_t s = slots[i];
-      if (s == kNoBatch) {
+      std::uint32_t s = ids[i];
+      if (s == kNoSlot) {
         const std::string& event = schema.entry(i).key;
-        tsdb::SeriesBatch batch;
-        batch.metric.reserve(kMetricPrefix.size() + b.type.size() +
-                             event.size() + 2);
-        batch.metric += kMetricPrefix;
-        batch.metric += '.';
-        batch.metric += b.type;
-        batch.metric += '.';
-        batch.metric += event;
-        batch.tags = {{"host", std::string(host)},
-                      {"type", std::string(b.type)},
-                      {"device", std::string(b.device)},
-                      {"event", event}};
-        s = static_cast<std::uint32_t>(batches.size());
-        batches.push_back(std::move(batch));
-        slots[i] = s;
+        Slot& slot = slots.emplace_back();
+        slot.metric.reserve(kMetricPrefix.size() + b.type.size() +
+                            event.size() + 2);
+        slot.metric += kMetricPrefix;
+        slot.metric += '.';
+        slot.metric += b.type;
+        slot.metric += '.';
+        slot.metric += event;
+        slot.tags = {{"host", std::string(host)},
+                     {"type", std::string(b.type)},
+                     {"device", std::string(b.device)},
+                     {"event", event}};
+        s = static_cast<std::uint32_t>(slots.size() - 1);
+        ids[i] = s;
       }
-      batches[s].points.push_back({time, static_cast<double>(b.values[i])});
+      std::vector<tsdb::DataPoint>& run = slots[s].points;
+      if (run.empty()) staged.push_back(s);
+      run.push_back({time, static_cast<double>(b.values[i])});
       ++staged_points;
     }
   }
@@ -178,17 +192,22 @@ struct HostSink {
   /// Puts every staged point into the store (no-op when none are staged).
   void flush() {
     if (staged_points == 0) return;
+    util::WallTimer timer;
+    runs.clear();
+    for (const std::uint32_t s : staged) {
+      Slot& slot = slots[s];
+      if (!slot.series) slot.series = store.series(slot.metric, slot.tags);
+      runs.push_back({slot.series, slot.points});
+    }
+    store.put(runs);
     if (metrics != nullptr) {
-      util::WallTimer timer;
-      store.put_batches(batches);
       const auto ns = static_cast<std::uint64_t>(timer.elapsed_ns());
       metrics->add_put_time_ns(ns);
       metrics->add_batches(1);
       put_ns += ns;
-    } else {
-      store.put_batches(batches);
     }
-    for (auto& b : batches) b.points.clear();
+    for (const std::uint32_t s : staged) slots[s].points.clear();
+    staged.clear();
     points += staged_points;
     staged_points = 0;
   }
@@ -232,7 +251,7 @@ TsdbIngestStats ingest_archive_tsdb(tsdb::Store& store,
     HostSink sink(store, host, options.batch_points, metrics);
     feed_log(log, sink);
     total_points.fetch_add(sink.points, std::memory_order_relaxed);
-    total_series.fetch_add(sink.batches.size(), std::memory_order_relaxed);
+    total_series.fetch_add(sink.slots.size(), std::memory_order_relaxed);
     if (metrics != nullptr) {
       metrics->add_records(log.records.size());
       metrics->add_points(sink.points);
@@ -291,7 +310,7 @@ TsdbIngestStats ingest_text_tsdb(tsdb::Store& store, std::string_view text,
 
   TsdbIngestStats stats;
   stats.hosts = 1;
-  stats.series = sink.batches.size();
+  stats.series = sink.slots.size();
   stats.points = sink.points;
   return stats;
 }

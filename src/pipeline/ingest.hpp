@@ -48,9 +48,9 @@ class PipelineMetrics;  // pipeline/pipeline_metrics.hpp
 
 /// Tuning knobs for the archive -> time-series load.
 struct TsdbIngestOptions {
-  /// Points staged per host before a bulk flush via Store::put_batches.
-  /// Bigger batches amortize shard locking; smaller ones bound staging
-  /// memory. Default: 4096.
+  /// Points staged per host before a bulk flush via one Store::put.
+  /// Bigger batches amortize shard locking and WAL frames; smaller ones
+  /// bound staging memory. Default: 4096.
   std::size_t batch_points = 4096;
   /// Seal every series after the load (Store::seal_all), compressing the
   /// archive into immutable blocks and enabling summary skips and rollup
@@ -78,9 +78,10 @@ struct TsdbIngestStats {
 /// tag subset can still be aggregated at query time.
 ///
 /// When `pool` is non-null, hosts are fanned out across its workers; each
-/// worker stages points in a local per-series buffer and flushes whole
-/// batches with Store::put_batches, so workers never contend on a series
-/// (series are keyed by host) and touch each shard lock only on flush.
+/// worker stages points in a local per-series buffer, resolves each series
+/// to a Store::Handle at its first put, and flushes with one Store::put per
+/// batch, so workers never contend on a series (series are keyed by host)
+/// and touch each shard lock only on flush.
 ///
 /// Thread-safety: safe to call while other threads put() into the same
 /// store; the archive is only read (RawArchive is internally locked). The
@@ -95,7 +96,7 @@ TsdbIngestStats ingest_archive_tsdb(tsdb::Store& store,
 /// format) straight into the time-series store without materializing
 /// Records: the body streams through collect::RecordViewParser (SIMD
 /// tokenization, values in the parser's reused scratch) directly into
-/// staged series batches. Series naming/tagging matches
+/// per-series staging. Series naming/tagging matches
 /// ingest_archive_tsdb, so a store loaded from text and one loaded from the
 /// equivalent archived log have byte-identical query results — as do runs
 /// with any scan mode.
@@ -104,7 +105,7 @@ TsdbIngestStats ingest_archive_tsdb(tsdb::Store& store,
 /// HostLog::parse). Points flushed before the bad line are already in the
 /// store; points staged since the last batch_points flush (the stage only
 /// flushes at record boundaries once the threshold is crossed) are
-/// dropped, not stored.
+/// dropped, not stored, and create no series.
 TsdbIngestStats ingest_text_tsdb(tsdb::Store& store, std::string_view text,
                                  const TsdbIngestOptions& options = {});
 

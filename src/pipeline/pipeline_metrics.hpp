@@ -21,10 +21,10 @@ struct PipelineMetricsSnapshot {
   std::uint64_t lines = 0;           // lines tokenized (records + data rows)
   std::uint64_t records = 0;         // timestamp records parsed
   std::uint64_t points = 0;          // tsdb points emitted
-  std::uint64_t batches = 0;         // put_batches flushes
+  std::uint64_t batches = 0;         // Store::put flushes
   std::uint64_t parse_time_ns = 0;   // tokenize + decode stage time
   std::uint64_t build_time_ns = 0;   // batch staging time
-  std::uint64_t put_time_ns = 0;     // Store::put_batches time
+  std::uint64_t put_time_ns = 0;     // Store::series + Store::put time
   std::uint64_t allocations = 0;     // parse scratch growths (0 = steady state)
 };
 

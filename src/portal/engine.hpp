@@ -20,8 +20,8 @@
 //        latency histogram (util::LatencyHistogram) are updated either way.
 //
 // Invalidation: the engine epoch is the triple (tsdb ingest epoch, jobs
-// row count, manual bump). tsdb::Store bumps its epoch on every
-// put/put_batch/put_batches/seal_all, so cached results are dropped —
+// row count, manual bump). tsdb::Store bumps its epoch on every put that
+// lands points and on every seal_all, so cached results are dropped —
 // lazily, at lookup — the moment new points land. Mutating the jobs table
 // in place (same row count) requires an invalidate_jobs() call.
 //

@@ -38,21 +38,17 @@ void put_time_dod(BitWriter& w, std::int64_t dod) {
   }
 }
 
-std::int64_t get_time_dod(const std::uint8_t* data, std::size_t& pos) noexcept {
-  if (read_bits(data, pos, 1) == 0) return 0;
-  if (read_bits(data, pos, 1) == 0) {
-    return coding::unzigzag(read_bits(data, pos, 7));
-  }
-  if (read_bits(data, pos, 1) == 0) {
-    return coding::unzigzag(read_bits(data, pos, 12));
-  }
-  if (read_bits(data, pos, 1) == 0) {
-    return coding::unzigzag(read_bits(data, pos, 20));
-  }
-  if (read_bits(data, pos, 1) == 0) {
-    return coding::unzigzag(read_bits(data, pos, 32));
-  }
-  return coding::unzigzag(read_bits(data, pos, 64));
+std::int64_t get_time_dod(std::span<const std::uint8_t> data,
+                          std::size_t& pos) noexcept {
+  const auto read = [&](int n) {
+    return read_bits(data.data(), data.size(), pos, n);
+  };
+  if (read(1) == 0) return 0;
+  if (read(1) == 0) return coding::unzigzag(read(7));
+  if (read(1) == 0) return coding::unzigzag(read(12));
+  if (read(1) == 0) return coding::unzigzag(read(20));
+  if (read(1) == 0) return coding::unzigzag(read(32));
+  return coding::unzigzag(read(64));
 }
 
 /// Encodes one downsample tier over time-sorted points: a varint entry
@@ -144,6 +140,7 @@ std::shared_ptr<const SealedBlock> SealedBlock::seal(
     }
     prev_t = t;
   }
+  tw.finish();
 
   // Values: Gorilla XOR with a leading/meaningful-bit window.
   BitWriter w(block->own_values_);
@@ -182,6 +179,7 @@ std::shared_ptr<const SealedBlock> SealedBlock::seal(
     }
     prev_bits = bits;
   }
+  w.finish();
 
   block->own_times_.shrink_to_fit();
   block->own_values_.shrink_to_fit();
@@ -229,24 +227,27 @@ std::shared_ptr<const SealedBlock> SealedBlock::from_parts(
 
 bool SealedBlock::Cursor::next(DataPoint& out) noexcept {
   if (index_ >= block_->summary_.count || !block_->has_raw()) return false;
-  const std::uint8_t* ts = block_->times_.data();
-  const std::uint8_t* vs = block_->values_.data();
+  const std::span<const std::uint8_t> ts = block_->times_;
+  const std::span<const std::uint8_t> vs = block_->values_;
+  const auto value = [&](int n) {
+    return read_bits(vs.data(), vs.size(), value_bit_, n);
+  };
 
   if (index_ == 0) {
-    prev_time_ = static_cast<util::SimTime>(read_bits(ts, time_bit_, 64));
-    prev_bits_ = read_bits(vs, value_bit_, 64);
+    prev_time_ = static_cast<util::SimTime>(
+        read_bits(ts.data(), ts.size(), time_bit_, 64));
+    prev_bits_ = value(64);
   } else {
     prev_delta_ += get_time_dod(ts, time_bit_);
     prev_time_ += prev_delta_;
 
-    if (read_bits(vs, value_bit_, 1) != 0) {
-      if (read_bits(vs, value_bit_, 1) != 0) {
-        window_leading_ = static_cast<int>(read_bits(vs, value_bit_, 5));
-        window_bits_ = static_cast<int>(read_bits(vs, value_bit_, 6)) + 1;
+    if (value(1) != 0) {
+      if (value(1) != 0) {
+        window_leading_ = static_cast<int>(value(5));
+        window_bits_ = static_cast<int>(value(6)) + 1;
         have_window_ = true;
       }
-      const std::uint64_t meaningful =
-          read_bits(vs, value_bit_, window_bits_);
+      const std::uint64_t meaningful = value(window_bits_);
       prev_bits_ ^= meaningful << (64 - window_leading_ - window_bits_);
     }
   }

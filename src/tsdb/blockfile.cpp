@@ -13,78 +13,8 @@ namespace {
 constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 4;
 constexpr std::size_t kFooterSize = 1 + 8 + 4 + 4;
 
-/// Bounds-checked reader over untrusted mapped bytes. Every failure is a
-/// CorruptionError carrying the offset of the unit being parsed.
-class ByteReader {
- public:
-  ByteReader(std::span<const std::uint8_t> data, std::size_t pos)
-      : data_(data), pos_(pos) {}
-
-  std::size_t pos() const noexcept { return pos_; }
-
-  std::uint8_t u8(std::size_t unit) {
-    need(1, unit);
-    return data_[pos_++];
-  }
-
-  std::uint32_t u32(std::size_t unit) {
-    need(4, unit);
-    const std::uint32_t v = coding::get_u32(data_.data() + pos_);
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64(std::size_t unit) {
-    need(8, unit);
-    const std::uint64_t v = coding::get_u64(data_.data() + pos_);
-    pos_ += 8;
-    return v;
-  }
-
-  std::uint64_t varint(std::size_t unit) {
-    std::uint64_t v = 0;
-    if (!coding::get_varint_checked(data_.data(), data_.size(), pos_, v)) {
-      throw CorruptionError("truncated varint", unit);
-    }
-    return v;
-  }
-
-  std::span<const std::uint8_t> bytes(std::size_t n, std::size_t unit) {
-    need(n, unit);
-    const auto s = data_.subspan(pos_, n);
-    pos_ += n;
-    return s;
-  }
-
-  void check_crc(std::size_t unit_start, const char* what) {
-    const std::uint32_t want =
-        util::crc32c(data_.data() + unit_start, pos_ - unit_start);
-    const std::uint32_t got = u32(unit_start);
-    if (want != got) {
-      throw CorruptionError(std::string(what) + " checksum mismatch",
-                            unit_start);
-    }
-  }
-
- private:
-  void need(std::size_t n, std::size_t unit) {
-    if (data_.size() - pos_ < n) {
-      throw CorruptionError("truncated record", unit);
-    }
-  }
-
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
-
 void append_crc(std::vector<std::uint8_t>& buf, std::size_t start) {
   coding::put_u32(buf, util::crc32c(buf.data() + start, buf.size() - start));
-}
-
-void append_tagged_string(std::vector<std::uint8_t>& buf,
-                          std::string_view s) {
-  coding::put_varint(buf, s.size());
-  buf.insert(buf.end(), s.begin(), s.end());
 }
 
 /// Serializes the whole segment into one buffer; write_segment then
@@ -102,12 +32,7 @@ std::vector<std::uint8_t> serialize_segment(
     const SeriesPayload& sp = *p;
     const std::size_t rec_start = buf.size();
     buf.push_back(kSegmentSeriesTag);
-    append_tagged_string(buf, sp.metric);
-    coding::put_varint(buf, sp.tags.size());
-    for (const auto& [k, v] : sp.tags) {
-      append_tagged_string(buf, k);
-      append_tagged_string(buf, v);
-    }
+    put_series_key(buf, sp.metric, sp.tags);
     coding::put_varint(buf, sp.cum_sealed);
     coding::put_varint(buf, sp.blocks.size());
     append_crc(buf, rec_start);
@@ -231,15 +156,7 @@ LoadedSegment load_segment(const std::string& path) {
       throw CorruptionError("bad series tag", rec_start);
     }
     SeriesPayload sp;
-    const auto metric = r.bytes(r.varint(rec_start), rec_start);
-    sp.metric.assign(metric.begin(), metric.end());
-    const std::uint64_t n_tags = r.varint(rec_start);
-    for (std::uint64_t ti = 0; ti < n_tags; ++ti) {
-      const auto k = r.bytes(r.varint(rec_start), rec_start);
-      const auto v = r.bytes(r.varint(rec_start), rec_start);
-      sp.tags.emplace(std::string(k.begin(), k.end()),
-                      std::string(v.begin(), v.end()));
-    }
+    r.series_key(rec_start, sp.metric, sp.tags);
     sp.cum_sealed = r.varint(rec_start);
     const std::uint64_t n_blocks = r.varint(rec_start);
     r.check_crc(rec_start, "series record");

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "tsdb/block.hpp"
+#include "tsdb/coding.hpp"
 #include "util/fault.hpp"
 #include "util/file.hpp"
 
@@ -96,6 +97,101 @@ class InjectedCrash : public std::runtime_error {
   explicit InjectedCrash(const std::string& site)
       : std::runtime_error("injected crash at " + site) {}
 };
+
+/// Bounds-checked reader over untrusted bytes, shared by the segment,
+/// manifest and WAL readers. Every failure is a CorruptionError carrying
+/// the offset of the unit being parsed.
+class ByteReader {
+ public:
+  ByteReader(std::span<const std::uint8_t> data, std::size_t pos)
+      : data_(data), pos_(pos) {}
+
+  std::size_t pos() const noexcept { return pos_; }
+  std::size_t left() const noexcept { return data_.size() - pos_; }
+
+  std::uint8_t u8(std::size_t unit) {
+    need(1, unit);
+    return data_[pos_++];
+  }
+
+  std::uint32_t u32(std::size_t unit) {
+    need(4, unit);
+    const std::uint32_t v = coding::get_u32(data_.data() + pos_);
+    pos_ += 4;
+    return v;
+  }
+
+  std::uint64_t u64(std::size_t unit) {
+    need(8, unit);
+    const std::uint64_t v = coding::get_u64(data_.data() + pos_);
+    pos_ += 8;
+    return v;
+  }
+
+  std::uint64_t varint(std::size_t unit) {
+    std::uint64_t v = 0;
+    if (!coding::get_varint_checked(data_.data(), data_.size(), pos_, v)) {
+      throw CorruptionError("truncated varint", unit);
+    }
+    return v;
+  }
+
+  std::span<const std::uint8_t> bytes(std::size_t n, std::size_t unit) {
+    need(n, unit);
+    const auto s = data_.subspan(pos_, n);
+    pos_ += n;
+    return s;
+  }
+
+  /// A put_string() field.
+  std::string string(std::size_t unit) {
+    const auto s = bytes(varint(unit), unit);
+    return {s.begin(), s.end()};
+  }
+
+  /// A put_series_key() field.
+  void series_key(std::size_t unit, std::string& metric, TagSet& tags) {
+    metric = string(unit);
+    const std::uint64_t n_tags = varint(unit);
+    for (std::uint64_t i = 0; i < n_tags; ++i) {
+      std::string k = string(unit);
+      tags.emplace(std::move(k), string(unit));
+    }
+  }
+
+  void check_crc(std::size_t unit_start, const char* what) {
+    const std::uint32_t want =
+        util::crc32c(data_.data() + unit_start, pos_ - unit_start);
+    const std::uint32_t got = u32(unit_start);
+    if (want != got) {
+      throw CorruptionError(std::string(what) + " checksum mismatch",
+                            unit_start);
+    }
+  }
+
+ private:
+  void need(std::size_t n, std::size_t unit) {
+    if (left() < n) throw CorruptionError("truncated record", unit);
+  }
+
+  std::span<const std::uint8_t> data_;
+  std::size_t pos_ = 0;
+};
+
+/// Appends a series' on-disk identity, the form segment series records
+/// and WAL definitions share: metric, n_tags, then each key and value,
+/// all put_string()/varint coded. `tags` are (key, value) pairs sorted by
+/// key.
+template <typename Tags>
+void put_series_key(std::vector<std::uint8_t>& out, std::string_view metric,
+                    const Tags& tags) {
+  coding::put_string(out, metric);
+  coding::put_varint(out, tags.size());
+  for (const auto& [k, v] : tags) {
+    coding::put_string(out, k);
+    coding::put_string(out, v);
+  }
+}
 
 /// One series' worth of persisted state: the unit the segment writer
 /// consumes and the reader produces.

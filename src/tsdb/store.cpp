@@ -200,8 +200,8 @@ const RetentionPolicy* find_retention(
   return best;
 }
 
-/// A series' interned tag views as an owning TagSet: the form WAL
-/// checkpoints and segment payloads carry.
+/// A series' interned tag views as an owning TagSet: the form segment
+/// payloads carry.
 TagSet owned_tags(
     std::span<const std::pair<std::string_view, std::string_view>> tags) {
   TagSet out;
@@ -288,28 +288,21 @@ Store::Store(const StoreOptions& options)
   }
 }
 
-Store::Shard& Store::shard_for(std::string_view metric,
-                               std::string_view canon) noexcept {
-  return *shards_[series_hash(metric, canon) & (shards_.size() - 1)];
-}
-
-const Store::Shard& Store::shard_for(std::string_view metric,
-                                     std::string_view canon) const noexcept {
-  return *shards_[series_hash(metric, canon) & (shards_.size() - 1)];
-}
-
 Store::Series& Store::resolve_series(Shard& shard, const std::string& metric,
                                      const TagSet& tags,
                                      std::string_view canon) {
-  auto& by_tags = shard.metrics.try_emplace(metric).first->second;
+  const auto mit = shard.metrics.try_emplace(metric).first;
+  auto& by_tags = mit->second;
   auto sit = by_tags.find(canon);
   if (sit == by_tags.end()) {
     sit = by_tags.try_emplace(std::string(canon)).first;
     auto& series = sit->second;
+    series.metric = mit->first;
     series.tags.reserve(tags.size());
     for (const auto& [k, v] : tags) {
-      const auto ki = shard.intern.emplace(k).first;
-      const auto vi = shard.intern.emplace(v).first;
+      // insert, not emplace: no node is built for a string already held.
+      const auto ki = shard.intern.insert(k).first;
+      const auto vi = shard.intern.insert(v).first;
       series.tags.emplace_back(*ki, *vi);
     }
   }
@@ -323,15 +316,20 @@ void Store::seal_prefix(Series& series, std::size_t n) const {
   // append sequence — the order the never-sealed store uses. Durable
   // stores attach downsample tiers (queries are byte-identical with or
   // without them, so this cannot break the determinism invariant).
-  std::vector<DataPoint> chunk(series.head.begin(),
-                               series.head.begin() + static_cast<long>(n));
-  std::stable_sort(chunk.begin(), chunk.end(), time_less);
+  std::span<const DataPoint> chunk(series.head.data(), n);
+  std::vector<DataPoint> sorted;
+  if (!series.head_sorted) {
+    sorted.assign(chunk.begin(), chunk.end());
+    std::stable_sort(sorted.begin(), sorted.end(), time_less);
+    chunk = sorted;
+  }
   series.blocks.push_back(SealedBlock::seal(
       chunk, durable_ != nullptr
                  ? std::span<const util::SimTime>(kTierIntervals)
                  : std::span<const util::SimTime>{}));
   series.head.erase(series.head.begin(),
                     series.head.begin() + static_cast<long>(n));
+  if (series.head.empty()) series.head.shrink_to_fit();
   series.head_sorted = true;
   for (std::size_t i = 1; i < series.head.size(); ++i) {
     if (series.head[i].time < series.head[i - 1].time) {
@@ -343,7 +341,6 @@ void Store::seal_prefix(Series& series, std::size_t n) const {
 
 void Store::append_run(Shard& shard, Series& series,
                        std::span<const DataPoint> points) {
-  series.head.reserve(series.head.size() + points.size());
   for (const auto& p : points) {
     if (!series.head.empty() && series.head.back().time > p.time) {
       series.head_sorted = false;
@@ -358,67 +355,66 @@ void Store::append_run(Shard& shard, Series& series,
   }
 }
 
-void Store::put(const std::string& metric, const TagSet& tags,
-                util::SimTime time, double value) {
-  const DataPoint p{time, value};
-  put_batch(metric, tags, std::span<const DataPoint>(&p, 1));
-}
-
-void Store::wal_append(Shard& shard, const std::string& metric,
-                       const TagSet& tags, std::span<const DataPoint> points) {
-  if (durable_ == nullptr) return;
-  if (shard.wal == nullptr) {
-    throw std::logic_error("tsdb::Store: put on closed store");
-  }
-  WalRecord rec;
-  rec.type = WalRecordType::Batch;
-  rec.metric = metric;
-  rec.tags = tags;
-  rec.points.assign(points.begin(), points.end());
-  shard.wal->append(rec);
-}
-
-void Store::put_batch(const std::string& metric, const TagSet& tags,
-                      std::span<const DataPoint> points) {
-  if (points.empty()) return;
+Store::Handle Store::series(const std::string& metric, const TagSet& tags) {
   check_open();
   const std::string canon = canonical_tags(tags);
-  Shard& shard = shard_for(metric, canon);
-  {
-    util::MutexLock lock(shard.mu);
-    wal_append(shard, metric, tags, points);
-    append_run(shard, resolve_series(shard, metric, tags, canon), points);
+  const auto index = static_cast<std::uint32_t>(series_hash(metric, canon) &
+                                                (shards_.size() - 1));
+  Shard& shard = *shards_[index];
+  util::MutexLock lock(shard.mu);
+  return {index, &resolve_series(shard, metric, tags, canon)};
+}
+
+void Store::put(std::span<const Run> runs) {
+  check_open();
+  bool any = false;
+  bool one_shard = true;
+  for (const Run& r : runs) {
+    any = any || !r.points.empty();
+    one_shard = one_shard && r.series.shard_ == runs.front().series.shard_;
+  }
+  if (!any) return;
+  if (one_shard) {  // every one-series put
+    put_shard(*shards_[runs.front().series.shard_], runs);
+  } else {
+    // Group by shard, keeping call order within a shard: one visit each.
+    std::vector<Run> by_shard(runs.begin(), runs.end());
+    std::stable_sort(by_shard.begin(), by_shard.end(),
+                     [](const Run& a, const Run& b) {
+                       return a.series.shard_ < b.series.shard_;
+                     });
+    for (auto first = by_shard.begin(); first != by_shard.end();) {
+      const auto last =
+          std::find_if(first, by_shard.end(), [&](const Run& r) {
+            return r.series.shard_ != first->series.shard_;
+          });
+      put_shard(*shards_[first->series.shard_], {first, last});
+      first = last;
+    }
   }
   bump_epoch();
 }
 
-void Store::put_batches(std::span<const SeriesBatch> batches) {
-  check_open();
-  // Group batch indices by destination shard, then visit each shard once:
-  // one lock acquisition covers every series bound for it.
-  std::vector<std::vector<std::size_t>> by_shard(shards_.size());
-  std::vector<std::string> canons(batches.size());
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    if (batches[i].points.empty()) continue;
-    canons[i] = canonical_tags(batches[i].tags);
-    by_shard[series_hash(batches[i].metric, canons[i]) &
-             (shards_.size() - 1)]
-        .push_back(i);
-  }
-  bool appended = false;
-  for (std::size_t s = 0; s < by_shard.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    appended = true;
-    Shard& shard = *shards_[s];
-    util::MutexLock lock(shard.mu);
-    for (const std::size_t i : by_shard[s]) {
-      const auto& b = batches[i];
-      wal_append(shard, b.metric, b.tags, b.points);
-      append_run(shard, resolve_series(shard, b.metric, b.tags, canons[i]),
-                 b.points);
+void Store::put_shard(Shard& shard, std::span<const Run> runs) {
+  util::MutexLock lock(shard.mu);
+  if (durable_ != nullptr) {
+    // Logged as one frame before it is applied: on InjectedCrash the
+    // shard's part of the put is neither applied nor acknowledged.
+    if (shard.wal == nullptr) {
+      throw std::logic_error("tsdb::Store: put on closed store");
     }
+    WalWriter& wal = *shard.wal;
+    for (const Run& r : runs) {
+      if (r.points.empty()) continue;
+      Series& series = *r.series.series_;
+      if (series.wal_id == kNoWalId) {
+        series.wal_id = wal.define(series.metric, series.tags);
+      }
+      wal.run(series.wal_id, r.points);
+    }
+    wal.commit();
   }
-  if (appended) bump_epoch();
+  for (const Run& r : runs) append_run(shard, *r.series.series_, r.points);
 }
 
 void Store::seal_all() {
@@ -502,37 +498,33 @@ void Store::rotate_wal(std::uint32_t index, Shard& shard, std::uint64_t gen) {
   auto& d = *durable_;
   auto w = std::make_unique<WalWriter>(wal_path(d.dir, index, gen), index,
                                        gen, d.wal_sync, d.faults);
-  WalRecord rec;
-  for (const auto& [metric, by_tags] : shard.metrics) {
-    for (const auto& [key, series] : by_tags) {
-      rec.type = WalRecordType::Checkpoint;
-      rec.metric = metric;
-      rec.tags = owned_tags(series.tags);
-      rec.cum_sealed = series.cum_persisted;
+  std::vector<std::pair<Series*, std::uint32_t>> ids;
+  std::vector<DataPoint> points;
+  for (auto& [metric, by_tags] : shard.metrics) {
+    for (auto& [key, series] : by_tags) {
       // The checkpoint must carry every point no segment covers: sealed
       // blocks past the persisted prefix (blocks sealed during replay, or
       // sealed by concurrent ingest after flush's snapshot) decode back
       // into it ahead of the head. Decoding is exact, and the chunks are
       // append-order slices, so replay's stable re-sort reproduces the
       // original sequence — seal timing never leaks into query bytes.
-      rec.points.clear();
+      points.clear();
       for (std::size_t i = series.persisted_blocks; i < series.blocks.size();
            ++i) {
-        series.blocks[i]->decode_append(rec.points);
+        series.blocks[i]->decode_append(points);
       }
-      rec.points.insert(rec.points.end(), series.head.begin(),
-                        series.head.end());
-      w->append(rec);
+      points.insert(points.end(), series.head.begin(), series.head.end());
+      ids.emplace_back(&series, w->checkpoint(metric, series.tags,
+                                              series.cum_persisted, points));
     }
   }
-  rec = WalRecord{};
-  rec.type = WalRecordType::CheckpointEnd;
-  w->append(rec);
+  w->end_checkpoint();
   w->sync();
   // The new generation is durable: the old one (if any) is garbage. On an
-  // injected crash above, `w`'s torn file stays on disk but shard.wal is
-  // untouched — recovery sees an incomplete checkpoint in the new
-  // generation and falls back to the old one.
+  // injected crash above, `w`'s torn file stays on disk but shard.wal and
+  // the series' ids are untouched — recovery sees an incomplete
+  // checkpoint in the new generation and falls back to the old one.
+  for (const auto& [series, id] : ids) series->wal_id = id;
   std::string old_path;
   if (shard.wal != nullptr) old_path = shard.wal->path();
   shard.wal = std::move(w);
@@ -554,25 +546,23 @@ void Store::recover() {
     const std::string path = segment_path(d.dir, seq);
     const LoadedSegment seg = load_segment(path);
     for (const SeriesPayload& payload : seg.series) {
-      const std::string canon = canonical_tags(payload.tags);
-      Shard& shard = shard_for(payload.metric, canon);
+      const Handle h = series(payload.metric, payload.tags);
+      Shard& shard = *shards_[h.shard_];
       util::MutexLock lock(shard.mu);
-      Series& series =
-          resolve_series(shard, payload.metric, payload.tags, canon);
       // Manifest order is oldest-first and segments load before any WAL
       // replays, so every block so far is persisted: append in seal order.
-      const std::size_t end = series.blocks.size();
-      install(shard, series, end, end, payload.blocks, payload.cum_sealed);
+      const std::size_t end = h.series_->blocks.size();
+      install(shard, *h.series_, end, end, payload.blocks, payload.cum_sealed);
     }
     ++recovery_.segments_loaded;
     live.insert(fs::path(path).filename().string());
   }
 
   // WAL files are keyed by the *writing* store's shard index, which need
-  // not match this store's shard count. A series' records all live in one
+  // not match this store's shard count. A series' runs all live in one
   // file (its owner shard when written), in order — so replaying file by
-  // file, resolving every record's series by hash, preserves per-series
-  // apply order under any resharding.
+  // file, resolving every definition by hash, preserves per-series apply
+  // order under any resharding.
   std::map<std::uint32_t, std::vector<std::uint64_t>> wal_gens;
   for (const auto& entry : fs::directory_iterator(d.dir)) {
     std::uint32_t shard_idx = 0;
@@ -588,6 +578,8 @@ void Store::recover() {
       WalReplay r;
       try {
         r = replay_wal(wal_path(d.dir, wi, gen));
+      } catch (const WalVersionError&) {
+        throw;  // another format: refuse it before any file is deleted
       } catch (const CorruptionError&) {
         continue;  // header torn at creation: use the previous generation
       }
@@ -597,33 +589,33 @@ void Store::recover() {
       if (!r.checkpoint_complete) continue;
       if (r.torn_offset.has_value()) ++recovery_.torn_tails;
       ++recovery_.wal_generations_replayed;
-      // Per-series skip budget: the records replay the append sequence
-      // since the generation started (checkpoint head, then batches), and
-      // sealing always persists its oldest prefix first — so dropping
+      // Per-series skip budget: the runs replay the append sequence since
+      // the generation started (checkpoint points, then puts), and sealing
+      // always persists its oldest prefix first — so dropping
       // (cum_persisted - checkpoint cum) points off the front removes
       // exactly the ones a completed flush already moved into segments.
-      std::map<std::pair<std::string, std::string>, std::uint64_t> budget;
-      for (const WalRecord& rec : r.records) {
-        ++recovery_.wal_records;
-        const std::string canon = canonical_tags(rec.tags);
-        Shard& shard = shard_for(rec.metric, canon);
-        util::MutexLock lock(shard.mu);
-        Series& series = resolve_series(shard, rec.metric, rec.tags, canon);
-        auto [it, inserted] = budget.try_emplace({rec.metric, canon}, 0);
-        if (inserted) {
-          const std::uint64_t ckpt =
-              rec.type == WalRecordType::Checkpoint ? rec.cum_sealed : 0;
-          it->second =
-              series.cum_persisted > ckpt ? series.cum_persisted - ckpt : 0;
-        }
+      std::vector<std::pair<Handle, std::uint64_t>> budget;
+      budget.reserve(r.series.size());
+      for (const WalSeries& def : r.series) {
+        const Handle h = series(def.metric, def.tags);
+        util::MutexLock lock(shards_[h.shard_]->mu);
+        const std::uint64_t have = h.series_->cum_persisted;
+        budget.emplace_back(h, have > def.cum_sealed ? have - def.cum_sealed
+                                                     : 0);
+      }
+      for (const WalRun& run : r.runs) {
+        ++recovery_.wal_runs;
+        auto& [h, left] = budget[run.series];
         const std::uint64_t skip =
-            std::min<std::uint64_t>(it->second, rec.points.size());
-        it->second -= skip;
+            std::min<std::uint64_t>(left, run.points.size());
+        left -= skip;
         recovery_.points_skipped += static_cast<std::size_t>(skip);
-        const std::span<const DataPoint> rest(
-            rec.points.data() + skip,
-            rec.points.size() - static_cast<std::size_t>(skip));
-        if (!rest.empty()) append_run(shard, series, rest);
+        const auto rest =
+            std::span(run.points).subspan(static_cast<std::size_t>(skip));
+        if (rest.empty()) continue;
+        Shard& shard = *shards_[h.shard_];
+        util::MutexLock lock(shard.mu);
+        append_run(shard, *h.series_, rest);
         recovery_.points_replayed += rest.size();
       }
       break;

@@ -7,10 +7,12 @@
 // The store is sharded for concurrent ingest: series are distributed over
 // N buckets by a stable hash of (metric, canonical tag string), and each
 // shard is protected by its own mutex (lock striping), so writers touching
-// different shards never contend. The hot path is put_batch(), which
-// resolves the series once per run of points instead of once per point;
-// tag strings are interned per shard so each distinct key/value is stored
-// once no matter how many series share it.
+// different shards never contend. A writer resolves each series once with
+// series(), which returns a copyable Handle, and then puts runs of points
+// by handle: put() groups a put's runs by shard and takes each shard's
+// lock, and writes each shard's WAL frame, once. Tag strings are interned
+// per shard so each distinct key/value is stored once no matter how many
+// series share it.
 //
 // Storage is two-tier (see docs/ARCHITECTURE.md, "TSDB storage format"):
 // each series keeps a small mutable head buffer of recent points, and once
@@ -29,10 +31,11 @@
 // decode cursor.
 //
 // Thread-safety contract:
-//   * put(), put_batch(), put_batches(), seal_all(), query(), num_series(),
-//     num_points() and storage_stats() are all safe to call concurrently
-//     from any number of threads, including queries interleaved with
-//     ingest and sealing.
+//   * series(), put() (every overload), put_batch(), seal_all(), query(),
+//     num_series(), num_points() and storage_stats() are all safe to call
+//     concurrently from any number of threads, including queries
+//     interleaved with ingest and sealing. A Handle may be shared and used
+//     from any thread.
 //   * A query observes each series atomically (its head is snapshotted and
 //     its immutable blocks ref'd under the shard lock) but is not a
 //     cross-shard snapshot: points ingested while the query runs may or
@@ -144,14 +147,6 @@ struct StoreOptions {
   std::shared_ptr<const util::FaultPlan> faults;
 };
 
-/// One series' worth of points staged for bulk insertion; the unit
-/// consumed by Store::put_batches(). Points need not be sorted.
-struct SeriesBatch {
-  std::string metric;
-  TagSet tags;
-  std::vector<DataPoint> points;
-};
-
 /// Storage accounting across both tiers, for the bytes/point benchmarks.
 struct StorageStats {
   std::size_t head_points = 0;
@@ -183,7 +178,8 @@ struct DiskStats {
 struct RecoveryInfo {
   std::size_t segments_loaded = 0;
   std::size_t wal_generations_replayed = 0;
-  std::size_t wal_records = 0;
+  /// Non-empty WAL runs read: checkpoint entries, then puts.
+  std::size_t wal_runs = 0;
   /// WAL points applied to heads vs. skipped as already segment-covered.
   std::size_t points_replayed = 0;
   std::size_t points_skipped = 0;
@@ -194,7 +190,33 @@ struct RecoveryInfo {
 };
 
 class Store {
+  struct Series;
+
  public:
+  /// A resolved series (see series()): the shard that holds it and the
+  /// series itself. Small and copyable, and valid for the life of the
+  /// store that returned it, since nothing erases a series and map nodes
+  /// do not move. A default-constructed handle names no series.
+  class Handle {
+   public:
+    Handle() = default;
+    explicit operator bool() const noexcept { return series_ != nullptr; }
+
+   private:
+    friend class Store;
+    Handle(std::uint32_t shard, Series* series) noexcept
+        : shard_(shard), series_(series) {}
+
+    std::uint32_t shard_ = 0;
+    Series* series_ = nullptr;
+  };
+
+  /// One series' points in a put. Points need not be sorted.
+  struct Run {
+    Handle series;
+    std::span<const DataPoint> points;
+  };
+
   Store() : Store(StoreOptions{}) {}
   /// In-memory store when options.data_dir is empty; otherwise opens (or
   /// creates) the durable store in that directory, running full recovery:
@@ -221,24 +243,37 @@ class Store {
   Store(Store&&) noexcept = default;
   Store& operator=(Store&&) noexcept = default;
 
-  /// Appends a point to the series (metric, tags). Out-of-order writes are
-  /// allowed; series are sorted lazily at seal/query time. Thread-safe.
-  /// Prefer put_batch() on hot paths: put() re-canonicalizes the tag set
-  /// and re-resolves the series on every call.
+  /// Resolves the series (metric, tags), creating it if it is new, and
+  /// returns its handle. Canonicalizes the tags and hashes them: call it
+  /// once per series, not once per put. A series exists from this call on
+  /// — it counts in num_series(), shows as an empty group in a group-by
+  /// and is checkpointed — so resolve a series only when a point for it
+  /// is about to be put. Throws std::logic_error after close().
+  /// Thread-safe.
+  Handle series(const std::string& metric, const TagSet& tags);
+
+  /// The put path. Appends every run's points to its series, grouping the
+  /// runs by shard: each shard's lock is taken once and, in a durable
+  /// store, each shard's part of the put becomes one WAL frame, written
+  /// before its points are applied. Runs of one series apply in call
+  /// order; out-of-order points are allowed (sorted lazily at seal/query
+  /// time). Handles must come from this store. Thread-safe.
+  void put(std::span<const Run> runs);
+  void put(Handle series, std::span<const DataPoint> points) {
+    const Run run{series, points};
+    put(std::span<const Run>(&run, 1));
+  }
+
+  /// One-call forms for tests and small writers: series() plus put().
   void put(const std::string& metric, const TagSet& tags, util::SimTime time,
-           double value);
-
-  /// Appends a run of points to the series (metric, tags), resolving the
-  /// series and taking the shard lock once for the whole run. Out-of-order
-  /// points are allowed (sorted lazily at seal/query time). Thread-safe.
+           double value) {
+    const DataPoint p{time, value};
+    put_batch(metric, tags, std::span<const DataPoint>(&p, 1));
+  }
   void put_batch(const std::string& metric, const TagSet& tags,
-                 std::span<const DataPoint> points);
-
-  /// Bulk-inserts a set of staged series batches, grouping them by shard
-  /// so each shard's lock is taken at most once per call. This is the
-  /// preferred flush path for parallel ingest: workers stage points
-  /// locally and hand the whole buffer over in one call. Thread-safe.
-  void put_batches(std::span<const SeriesBatch> batches);
+                 std::span<const DataPoint> points) {
+    if (!points.empty()) put(series(metric, tags), points);
+  }
 
   /// Seals every series' remaining head buffer into a final (possibly
   /// short) compressed block. Call after a bulk load to get full
@@ -289,8 +324,8 @@ class Store {
   /// directory or an in-memory store).
   const RecoveryInfo& recovery_info() const noexcept { return recovery_; }
 
-  /// Store-wide ingest epoch: a monotonic counter bumped by every mutation
-  /// (put / put_batch / put_batches / seal_all), so a cache layered above
+  /// Store-wide ingest epoch: a monotonic counter bumped by every put that
+  /// lands points and by every seal_all, so a cache layered above
   /// the store (portal::QueryEngine) can key results by epoch and drop
   /// them the moment new data lands. The value carries no meaning beyond
   /// "changed since I last looked". Thread-safe, lock-free.
@@ -310,7 +345,12 @@ class Store {
   std::vector<SeriesResult> query(const Query& q, util::ThreadPool& pool) const;
 
  private:
+  /// Series::wal_id before the series' first frame in the live generation.
+  static constexpr std::uint32_t kNoWalId = 0xffffffffu;
+
   struct Series {
+    /// The metric: a view of the owning shard's metrics-map key.
+    std::string_view metric;
     /// Sorted (key, value) views into the owning shard's intern pool.
     std::vector<std::pair<std::string_view, std::string_view>> tags;
     /// Immutable sealed tier, in seal (append-chunk) order. The first
@@ -326,6 +366,9 @@ class Store {
     /// Points ever persisted into segments, monotonic across compaction
     /// and retention; WAL replay uses it to skip segment-covered points.
     std::uint64_t cum_persisted = 0;
+    /// The series' id in the shard's live WAL generation, or kNoWalId
+    /// until its definition is written. Rotation renumbers every series.
+    std::uint32_t wal_id = kNoWalId;
   };
   struct Shard {
     mutable util::Mutex mu;
@@ -335,8 +378,9 @@ class Store {
     // metric -> canonical tag string -> series (ordered: queries traverse
     // series in canonical order, which keeps aggregation deterministic).
     // Nothing ever erases from these maps, and std::map nodes do not move
-    // on insert, so a Series* (and its key) stays valid for the store's
-    // life: a commit's slices hold them across the shard locks.
+    // on insert, so a Series* (and its keys) stays valid for the store's
+    // life: handles and a commit's slices hold them across the shard
+    // locks.
     std::map<std::string, std::map<std::string, Series, std::less<>>,
              std::less<>>
         metrics TACC_GUARDED_BY(mu);
@@ -382,22 +426,20 @@ class Store {
     std::vector<std::pair<util::SimTime, double>> downsampled;
   };
 
-  Shard& shard_for(std::string_view metric, std::string_view canon) noexcept;
-  const Shard& shard_for(std::string_view metric,
-                         std::string_view canon) const noexcept;
   /// Finds or creates a series; caller must hold `shard.mu`.
-  Series& resolve_series(Shard& shard, const std::string& metric,
-                         const TagSet& tags, std::string_view canon)
+  static Series& resolve_series(Shard& shard, const std::string& metric,
+                                const TagSet& tags, std::string_view canon)
       TACC_REQUIRES(shard.mu);
   void append_run(Shard& shard, Series& series,
                   std::span<const DataPoint> points) TACC_REQUIRES(shard.mu);
-  /// Durable stores: logs the batch to the shard's WAL before it is
-  /// applied. Throws InjectedCrash (batch not applied, not acknowledged)
-  /// or std::logic_error if the store was closed underneath the caller.
-  void wal_append(Shard& shard, const std::string& metric, const TagSet& tags,
-                  std::span<const DataPoint> points) TACC_REQUIRES(shard.mu);
+  /// One shard's part of a put: under the shard lock, the WAL frame (in a
+  /// durable store), then the points. Throws InjectedCrash (nothing
+  /// applied, nothing acknowledged) or std::logic_error if the store was
+  /// closed underneath the caller.
+  void put_shard(Shard& shard, std::span<const Run> runs);
   /// Seals the first `n` head points (append order, stable-sorted by time)
   /// into a new block (with downsample tiers when the store is durable).
+  /// A head the seal empties gives its memory back.
   void seal_prefix(Series& series, std::size_t n) const;
   /// Throws std::logic_error after close(), InjectedCrash semantics aside.
   void check_open() const;
@@ -406,8 +448,9 @@ class Store {
   /// Recovery: manifest -> segments -> WAL replay -> rotation -> cleanup.
   void recover();
   /// Writes a fresh WAL generation for `shard`: a checkpoint of every
-  /// series (cum_persisted + head points) closed by the end marker, synced,
-  /// swapped in, and the previous generation's file deleted.
+  /// series (definition, cum_persisted, unpersisted points) closed by the
+  /// end marker, synced, swapped in, and the previous generation's file
+  /// deleted. Renumbers the shard's series to their checkpoint ids.
   void rotate_wal(std::uint32_t index, Shard& shard, std::uint64_t gen)
       TACC_REQUIRES(shard.mu);
   /// Commit step 1: one slice per series whose range is non-empty — the

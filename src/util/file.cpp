@@ -11,6 +11,10 @@
 #include <filesystem>
 #include <stdexcept>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace tacc::util {
 
 namespace {
@@ -29,14 +33,33 @@ std::array<std::uint32_t, 256> make_crc32c_table() noexcept {
   return table;
 }
 
+#if defined(__x86_64__)
+
+/// SSE4.2 `crc32` computes the same reflected Castagnoli CRC as the table,
+/// eight bytes per instruction. Unaligned 8-byte loads are fine on x86.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    const std::uint8_t* p, std::size_t size, std::uint32_t seed) noexcept {
+  std::uint64_t c = seed ^ 0xFFFFFFFFu;
+  for (; size >= 8; p += 8, size -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, 8);
+    c = _mm_crc32_u64(c, word);
+  }
+  auto c32 = static_cast<std::uint32_t>(c);
+  for (; size > 0; ++p, --size) c32 = _mm_crc32_u8(c32, *p);
+  return c32 ^ 0xFFFFFFFFu;
+}
+
+#endif  // x86_64
+
 [[noreturn]] void throw_errno(const std::string& what, const std::string& path) {
   throw std::runtime_error(what + " " + path + ": " + std::strerror(errno));
 }
 
 }  // namespace
 
-std::uint32_t crc32c(const void* data, std::size_t size,
-                     std::uint32_t seed) noexcept {
+std::uint32_t crc32c_table(const void* data, std::size_t size,
+                           std::uint32_t seed) noexcept {
   static const std::array<std::uint32_t, 256> table = make_crc32c_table();
   const auto* p = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
@@ -44,6 +67,17 @@ std::uint32_t crc32c(const void* data, std::size_t size,
     c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t crc32c(const void* data, std::size_t size,
+                     std::uint32_t seed) noexcept {
+#if defined(__x86_64__)
+  static const bool sse42 = __builtin_cpu_supports("sse4.2");
+  if (sse42) {
+    return crc32c_sse42(static_cast<const std::uint8_t*>(data), size, seed);
+  }
+#endif
+  return crc32c_table(data, size, seed);
 }
 
 std::shared_ptr<const MmapFile> MmapFile::map(const std::string& path) {

@@ -21,8 +21,13 @@ namespace tacc::util {
 /// CRC32C (Castagnoli, reflected 0x82F63B78) over `size` bytes. `seed`
 /// chains partial computations: crc32c(b, crc32c(a)) == crc32c(a+b).
 /// This is the checksum every on-disk frame in the TSDB format carries.
+/// Uses the SSE4.2 `crc32` instruction when the CPU has it, else
+/// crc32c_table(); both give the same value.
 std::uint32_t crc32c(const void* data, std::size_t size,
                      std::uint32_t seed = 0) noexcept;
+/// The portable bytewise-table kernel behind crc32c().
+std::uint32_t crc32c_table(const void* data, std::size_t size,
+                           std::uint32_t seed = 0) noexcept;
 inline std::uint32_t crc32c(std::span<const std::uint8_t> bytes,
                             std::uint32_t seed = 0) noexcept {
   return crc32c(bytes.data(), bytes.size(), seed);

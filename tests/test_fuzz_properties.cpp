@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "tsdb/blockfile.hpp"
 #include "tsdb/store.hpp"
 #include "tsdb/wal.hpp"
+#include "util/file.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "workload/engine.hpp"
@@ -163,18 +165,28 @@ void expect_points_eq(const std::vector<tsdb::DataPoint>& a,
   }
 }
 
-void expect_record_eq(const tsdb::WalRecord& a, const tsdb::WalRecord& b) {
-  EXPECT_EQ(a.type, b.type);
-  EXPECT_EQ(a.metric, b.metric);
-  EXPECT_EQ(a.tags, b.tags);
-  EXPECT_EQ(a.cum_sealed, b.cum_sealed);
-  expect_points_eq(a.points, b.points);
+/// `got` is an exact prefix of the clean replay `want`: the same series
+/// definitions, and the same runs naming them, in order.
+void expect_wal_prefix(const tsdb::WalReplay& got,
+                       const tsdb::WalReplay& want) {
+  ASSERT_LE(got.series.size(), want.series.size());
+  for (std::size_t i = 0; i < got.series.size(); ++i) {
+    EXPECT_EQ(got.series[i].metric, want.series[i].metric);
+    EXPECT_EQ(got.series[i].tags, want.series[i].tags);
+    EXPECT_EQ(got.series[i].cum_sealed, want.series[i].cum_sealed);
+  }
+  ASSERT_LE(got.runs.size(), want.runs.size());
+  for (std::size_t i = 0; i < got.runs.size(); ++i) {
+    ASSERT_LT(got.runs[i].series, got.series.size());
+    EXPECT_EQ(got.runs[i].series, want.runs[i].series);
+    expect_points_eq(got.runs[i].points, want.runs[i].points);
+  }
 }
 
 /// A real store directory: one flushed segment, one live WAL generation
-/// whose checkpoint is followed by batch records, and a manifest — plus
-/// the clean decode of each, the ground truth the mutants are judged
-/// against.
+/// whose checkpoint is followed by put frames (one of them defining a new
+/// series inline), and a manifest — plus the clean decode of each, the
+/// ground truth the mutants are judged against.
 struct PersistFixture {
   std::string dir;
   std::string segment_path;
@@ -216,15 +228,18 @@ PersistFixture build_persist_fixture(const std::string& name) {
     }
     s.seal_all();
     s.flush();
-    // Post-flush puts land as batch records in the rotated WAL.
-    for (const char* host : {"c400-000", "c400-001"}) {
+    // Post-flush puts land as put frames in the rotated WAL; c400-002 is
+    // new, so its first frame defines it inline.
+    for (const char* host : {"c400-000", "c400-001", "c400-002"}) {
       std::vector<tsdb::DataPoint> pts;
       for (int i = 120; i < 160; ++i) {
         pts.push_back({kT0 + i * util::kMinute, salted(i)});
       }
       s.put_batch("taccstats.cpu.user", {{"host", host}}, pts);
+      s.put_batch("taccstats.cpu.user", {{"host", host}},
+                  std::span(pts).first(3));
     }
-    // Crash-style destruction: the WAL keeps its batch tail.
+    // Crash-style destruction: the WAL keeps its put tail.
   }
   for (const auto& entry : fsp::directory_iterator(fx.dir)) {
     const std::string fn = entry.path().filename().string();
@@ -237,7 +252,8 @@ PersistFixture build_persist_fixture(const std::string& name) {
   fx.clean_wal = tsdb::replay_wal(fx.wal_path);
   fx.clean_manifest = tsdb::read_manifest(fx.dir);
   EXPECT_EQ(fx.clean_series.size(), 2u);
-  EXPECT_GT(fx.clean_wal.records.size(), 2u);  // checkpoint + batches
+  EXPECT_EQ(fx.clean_wal.series.size(), 3u);  // 2 checkpointed, 1 inline
+  EXPECT_EQ(fx.clean_wal.runs.size(), 6u);    // 2 puts per host
   EXPECT_TRUE(fx.clean_wal.checkpoint_complete);
   return fx;
 }
@@ -328,13 +344,10 @@ TEST(FuzzPersist, WalDamageYieldsExactReplayPrefix) {
     write_bytes(mutant, bytes);
     try {
       const tsdb::WalReplay r = tsdb::replay_wal(mutant);
-      // Whatever survives must be an exact prefix of the clean records:
-      // a replayed record is an acknowledged put, and acknowledged puts
-      // are never reordered or altered by damage behind them.
-      ASSERT_LE(r.records.size(), fx.clean_wal.records.size());
-      for (std::size_t i = 0; i < r.records.size(); ++i) {
-        expect_record_eq(r.records[i], fx.clean_wal.records[i]);
-      }
+      // Whatever survives must be an exact prefix of the clean replay: a
+      // replayed run is an acknowledged put, and acknowledged puts are
+      // never reordered or altered by damage behind them.
+      expect_wal_prefix(r, fx.clean_wal);
       if (r.torn_offset.has_value()) {
         ++torn;
         EXPECT_LE(*r.torn_offset, bytes.size());
@@ -343,7 +356,7 @@ TEST(FuzzPersist, WalDamageYieldsExactReplayPrefix) {
         // so nothing may be missing. (A truncation cut exactly on a
         // frame boundary is indistinguishable from a shorter clean
         // file, so it legitimately reports no tear.)
-        EXPECT_EQ(r.records.size(), fx.clean_wal.records.size());
+        EXPECT_EQ(r.runs.size(), fx.clean_wal.runs.size());
       }
     } catch (const tsdb::CorruptionError& e) {
       // Only header damage may reject the whole file.
@@ -353,6 +366,37 @@ TEST(FuzzPersist, WalDamageYieldsExactReplayPrefix) {
     }
   }
   EXPECT_GT(torn, 0);
+
+  // A checksum-valid frame naming an id the file never defined is torn,
+  // whole: its valid first run must not replay either.
+  const auto frame = [](const std::vector<std::uint8_t>& payload) {
+    std::string out(8, '\0');
+    const std::uint32_t head[2] = {
+        static_cast<std::uint32_t>(payload.size()),
+        util::crc32c(payload.data(), payload.size())};
+    for (int i = 0; i < 8; ++i) {
+      out[static_cast<std::size_t>(i)] =
+          static_cast<char>(head[i / 4] >> (8 * (i % 4)));
+    }
+    out.append(payload.begin(), payload.end());
+    return out;
+  };
+  // 'R' id n | zigzag time varint | 8 value bytes, one point per run.
+  const std::vector<std::uint8_t> good_run = {'R', 0, 1, 2, 0, 0, 0, 0,
+                                              0, 0, 0, 0};
+  std::vector<std::uint8_t> bad_frame = good_run;
+  bad_frame.insert(bad_frame.end(), {'R', 0x7f, 1, 4, 0, 0, 0, 0, 0, 0, 0, 0});
+  for (const auto& payload :
+       {std::vector<std::uint8_t>{'R', 3, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0},
+        bad_frame}) {
+    write_bytes(mutant, clean + frame(payload) + frame(good_run));
+    const tsdb::WalReplay r = tsdb::replay_wal(mutant);
+    ASSERT_TRUE(r.torn_offset.has_value());
+    EXPECT_EQ(*r.torn_offset, clean.size());
+    EXPECT_EQ(r.series.size(), fx.clean_wal.series.size());
+    EXPECT_EQ(r.runs.size(), fx.clean_wal.runs.size());
+    expect_wal_prefix(r, fx.clean_wal);
+  }
 }
 
 TEST(FuzzPersist, ManifestDamageNeverLies) {

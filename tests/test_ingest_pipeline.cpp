@@ -6,7 +6,9 @@
 // byte-identical query results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -19,6 +21,7 @@
 #include "pipeline/pipeline_metrics.hpp"
 #include "transport/archive.hpp"
 #include "tsdb/store.hpp"
+#include "util/file.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
@@ -620,6 +623,8 @@ TEST(IngestPipeline, TextIngestPropagatesParseErrors) {
   // batch_points = 16 flushes at the starts of records 4, 8, ..., 28:
   // records 0-27 (112 points) are stored, records 28-29 (8 points) are
   // dropped. The default threshold never flushes before the error.
+  // A series exists only once a point of it is stored: the dropped points
+  // create none.
   const std::size_t default_batch = pipeline::TsdbIngestOptions{}.batch_points;
   for (const auto& [batch, want] :
        {std::pair<std::size_t, std::size_t>{16, 112}, {default_batch, 0}}) {
@@ -633,7 +638,72 @@ TEST(IngestPipeline, TextIngestPropagatesParseErrors) {
       EXPECT_STREQ(e.what(), "bad counter value: oops");
     }
     EXPECT_EQ(store3.num_points(), want) << "batch_points " << batch;
+    EXPECT_EQ(store3.num_series(), want == 0 ? 0u : 4u)
+        << "batch_points " << batch;
   }
+}
+
+TEST(IngestPipeline, HandlePutsMatchStringPutsByteForByte) {
+  // The sink (series resolved once, one put by handle per batch) against
+  // one string put_batch per point, both into durable stores: the same
+  // query bytes and the same segment file.
+  const auto& archive = shared_archive();
+  const auto fresh_dir = [](const std::string& name) {
+    const std::filesystem::path d =
+        std::filesystem::path(::testing::TempDir()) / name;
+    std::filesystem::remove_all(d);
+    return d.string();
+  };
+  const std::string sink_dir = fresh_dir("ingest_handles");
+  const std::string strings_dir = fresh_dir("ingest_strings");
+  tsdb::StoreOptions o;
+  o.shards = 4;
+  o.block_points = 16;
+  o.data_dir = sink_dir;
+  tsdb::Store via_sink(o);
+  pipeline::TsdbIngestOptions io;
+  io.batch_points = 64;
+  pipeline::ingest_archive_tsdb(via_sink, archive, nullptr, io);
+
+  o.data_dir = strings_dir;
+  tsdb::Store via_strings(o);
+  for (const auto& host : archive.hosts()) {
+    archive.visit_log(host, [&](const HostLog& log) {
+      for (const auto& rec : log.records) {
+        for (const auto& block : rec.blocks) {
+          const Schema* schema = log.schema_for(block.type);
+          if (schema == nullptr) continue;  // the sink skips these too
+          const std::size_t n = std::min(block.values.size(), schema->size());
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::string& event = schema->entry(i).key;
+            const tsdb::DataPoint p{rec.time,
+                                    static_cast<double>(block.values[i])};
+            via_strings.put_batch("taccstats." + block.type + "." + event,
+                                  {{"host", host},
+                                   {"type", block.type},
+                                   {"device", block.device},
+                                   {"event", event}},
+                                  {&p, 1});
+          }
+        }
+      }
+    });
+  }
+  via_strings.seal_all();
+
+  EXPECT_EQ(via_strings.num_series(), via_sink.num_series());
+  EXPECT_EQ(via_strings.num_points(), via_sink.num_points());
+  for (const auto& q : probe_queries()) {
+    const auto a = via_sink.query(q);
+    ASSERT_FALSE(a.empty());
+    expect_identical(a, via_strings.query(q));
+  }
+  via_sink.flush();
+  via_strings.flush();
+  ASSERT_EQ(via_sink.disk_stats().segment_files, 1u);
+  ASSERT_EQ(via_strings.disk_stats().segment_files, 1u);
+  EXPECT_EQ(util::read_file(sink_dir + "/seg-000001.blk"),
+            util::read_file(strings_dir + "/seg-000001.blk"));
 }
 
 }  // namespace

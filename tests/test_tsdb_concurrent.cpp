@@ -194,7 +194,7 @@ TEST(TsdbConcurrent, NumPointsIsSafeDuringConcurrentIngest) {
             static_cast<std::size_t>(kWriters) * kPutsPerWriter);
 }
 
-TEST(TsdbConcurrent, PutBatchAndPutBatchesMatchPut) {
+TEST(TsdbConcurrent, HandlePutAndPutBatchMatchPut) {
   const auto fill_points = [](int s) {
     std::vector<DataPoint> run;
     for (int p = 0; p < 64; ++p) {
@@ -207,21 +207,30 @@ TEST(TsdbConcurrent, PutBatchAndPutBatchesMatchPut) {
 
   Store via_put;
   Store via_batch;
-  Store via_batches;
-  std::vector<SeriesBatch> staged;
+  Store via_handles;
+  std::vector<std::vector<DataPoint>> staged;
+  std::vector<Store::Run> runs;
   for (int s = 0; s < 6; ++s) {
     const TagSet tags = {{"host", "h" + std::to_string(s % 3)},
                          {"dev", "d" + std::to_string(s)}};
     const auto run = fill_points(s);
     for (const auto& p : run) via_put.put("m", tags, p.time, p.value);
     via_batch.put_batch("m", tags, run);
-    staged.push_back({"m", tags, run});
+    staged.push_back(run);
+    runs.push_back({via_handles.series("m", tags), {}});
   }
-  via_batches.put_batches(staged);
+  // Two runs per series in one put: each series' runs apply in call order.
+  for (int s = 0; s < 6; ++s) {
+    runs[s].points = std::span(staged[s]).first(40);
+    runs.push_back({runs[s].series, std::span(staged[s]).subspan(40)});
+  }
+  via_handles.put(runs);
 
+  EXPECT_EQ(via_handles.num_series(), via_put.num_series());
+  EXPECT_EQ(via_handles.num_points(), via_put.num_points());
   for (const auto& q : probe_queries()) {
     expect_identical(via_put.query(q), via_batch.query(q));
-    expect_identical(via_put.query(q), via_batches.query(q));
+    expect_identical(via_put.query(q), via_handles.query(q));
   }
 }
 

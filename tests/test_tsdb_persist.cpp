@@ -1,8 +1,9 @@
 // Durable tiered block storage: flush/reopen and WAL-replay byte-identity,
 // downsample-tier query equivalence, compaction equivalence, retention
 // ghosts, close() semantics, disk accounting, the background compactor,
-// and the golden-file format pins (writer reproduces the committed v1
-// fixtures byte for byte; reader decodes them exactly). The crash matrix
+// WAL format 2 (inline definitions, resharded replay, refusal of another
+// version), and the golden-file format pins (writer reproduces the
+// committed fixtures byte for byte; reader decodes them exactly). The crash matrix
 // lives in test_tsdb_recovery.cpp; corruption fuzzing in
 // test_fuzz_properties.cpp.
 #include <gtest/gtest.h>
@@ -300,6 +301,88 @@ TEST(TsdbPersist, ReopenWithDifferentShardCountIsByteIdentical) {
 
 // ---- Downsample tiers --------------------------------------------------
 
+/// Copies the store directory `from` into a fresh directory `name`.
+std::string copy_dir(const std::string& from, const std::string& name) {
+  const std::string to = fresh_dir(name);
+  fs::copy(from, to, fs::copy_options::recursive);
+  return to;
+}
+
+TEST(TsdbPersist, WalInlineDefinitionsReplayUnderAnyShardCount) {
+  // Unflushed WAL content of a 16-shard store: checkpoints for the
+  // series that existed at rotation, then puts that define new series
+  // inline and put to them again by id.
+  const std::string dir = fresh_dir("persist_wal2_reshard");
+  Store mem;
+  load_sample(mem, 90);
+  {
+    StoreOptions o = durable_options(dir);
+    o.shards = 16;
+    Store s(o);
+    load_sample(s, 90);
+    s.seal_all();
+    s.flush();
+    for (Store* store : {&s, &mem}) {
+      for (int round = 0; round < 2; ++round) {
+        std::vector<std::vector<DataPoint>> pts(6);
+        std::vector<Store::Run> runs;
+        for (int h = 0; h < 3; ++h) {
+          const TagSet tags = {{"host", "c400-00" + std::to_string(h)}};
+          for (int m = 0; m < 2; ++m) {
+            auto& p = pts[static_cast<std::size_t>(2 * h + m)];
+            for (int i = 0; i < 5; ++i) {
+              p.push_back({kT0 + (90 + 5 * round + i) * util::kMinute,
+                           1000.0 * m + 10.0 * h + i});
+            }
+            runs.push_back({store->series(m == 0 ? "taccstats.cpu.user"
+                                                 : "taccstats.mem.used",
+                                          tags),
+                            p});
+          }
+        }
+        store->put(runs);
+      }
+    }
+    // Crash-style destruction: the puts live in the WALs only.
+  }
+
+  // Every new series is defined inline, after its file's checkpoint, and
+  // its runs name it by id.
+  std::size_t inline_defs = 0;
+  std::size_t inline_points = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (!entry.path().filename().string().starts_with("wal-")) continue;
+    const WalReplay r = replay_wal(entry.path().string());
+    EXPECT_TRUE(r.checkpoint_complete);
+    EXPECT_FALSE(r.torn_offset.has_value());
+    for (std::size_t id = 0; id < r.series.size(); ++id) {
+      if (r.series[id].metric != "taccstats.mem.used") continue;
+      ++inline_defs;
+      EXPECT_EQ(r.series[id].cum_sealed, 0u);
+      for (const WalRun& run : r.runs) {
+        if (run.series == id) inline_points += run.points.size();
+      }
+    }
+  }
+  EXPECT_EQ(inline_defs, 3u);
+  EXPECT_EQ(inline_points, 30u);
+
+  for (const std::size_t shards : {std::size_t{4}, std::size_t{1}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    StoreOptions o = durable_options(
+        copy_dir(dir, "persist_wal2_reshard_" + std::to_string(shards)));
+    o.shards = shards;
+    Store r(o);
+    EXPECT_EQ(r.num_series(), mem.num_series());
+    EXPECT_EQ(r.num_points(), mem.num_points());
+    expect_same_results(r, mem);
+    Query q;
+    q.metric = "taccstats.mem.used";
+    q.group_by = {"host"};
+    expect_identical(r.query(q), mem.query(q));
+  }
+}
+
 TEST(TsdbPersist, TierQueriesMatchRawDecode) {
   const std::string dir = fresh_dir("persist_tiers");
   Store mem;  // in-memory control: no tiers at all
@@ -570,12 +653,14 @@ TEST(TsdbPersist, BackgroundCompactorPersistsWithoutChangingResults) {
 
 // ---- Golden-file format pins -------------------------------------------
 //
-// The committed fixtures under tests/data/golden/ pin format v1 byte for
-// byte. If these tests fail after an intentional format change, bump the
-// version constants (and lint TS050's fingerprint) and regenerate with
+// The committed fixtures under tests/data/golden/ pin the current formats
+// byte for byte (segment 1, manifest 1, WAL 2). If these tests fail after
+// an intentional format change, bump the version constants (and lint
+// TS050's fingerprint) and regenerate with
 //   TACC_REGEN_GOLDEN=1 ./test_tsdb_persist
 // A silent regeneration without a version bump is exactly the bug this
-// layer exists to catch, so never do that.
+// layer exists to catch, so never do that. tests/data/golden/v1/ keeps the
+// fixtures of WAL format 1, which a store must refuse to open.
 
 const char* golden_fixture_dir() {
   return TACC_SOURCE_DIR "/tests/data/golden";
@@ -638,11 +723,18 @@ TEST(TsdbPersist, GoldenWriterReproducesCommittedBytes) {
     load_golden(s);
     s.seal_all();
     s.flush();
-    // One post-flush batch so the live WAL generation carries a
-    // checkpoint (with head points) followed by a batch record.
-    s.put_batch("golden.metric", {{"host", "c400-000"}, {"unit", "0"}},
-                std::vector<DataPoint>{{kT0 + util::kHour, 42.0},
-                                       {kT0 + util::kHour + 1, -42.0}});
+    // One post-flush put so the live WAL generation carries its checkpoint
+    // frame followed by one put frame: a run for a checkpointed series,
+    // then a new series' inline definition and run.
+    const std::vector<DataPoint> old_pts = {{kT0 + util::kHour, 42.0},
+                                            {kT0 + util::kHour + 1, -42.0}};
+    const std::vector<DataPoint> new_pts = {{kT0 + util::kHour, 7.5}};
+    const Store::Run runs[] = {
+        {s.series("golden.metric", {{"host", "c400-000"}, {"unit", "0"}}),
+         old_pts},
+        {s.series("golden.metric", {{"host", "c400-002"}, {"unit", "2"}}),
+         new_pts}};
+    s.put(runs);
   }
   // Fresh dir: recovery rotates to gen 1, flush to gen 2.
   const char* files[] = {"MANIFEST", "seg-000001.blk", "wal-000-000002.log"};
@@ -661,7 +753,7 @@ TEST(TsdbPersist, GoldenWriterReproducesCommittedBytes) {
     ASSERT_FALSE(want.empty()) << "missing fixture " << f
                                << " — run with TACC_REGEN_GOLDEN=1";
     EXPECT_EQ(got, want)
-        << f << ": the writer no longer reproduces the v1 fixture. If the "
+        << f << ": the writer no longer reproduces the fixture. If the "
         << "format change is intentional, bump the format version (see "
         << "lint TS050) and regenerate with TACC_REGEN_GOLDEN=1.";
   }
@@ -706,21 +798,77 @@ TEST(TsdbPersist, GoldenReaderDecodesCommittedFixtureExactly) {
   EXPECT_EQ(wal.gen, 2u);
   EXPECT_TRUE(wal.checkpoint_complete);
   EXPECT_FALSE(wal.torn_offset.has_value());
-  // Checkpoint for both (empty-head) series, then the post-flush batch.
-  ASSERT_EQ(wal.records.size(), 3u);
-  EXPECT_EQ(wal.records[0].type, WalRecordType::Checkpoint);
-  EXPECT_EQ(wal.records[0].cum_sealed, 10u);
-  EXPECT_TRUE(wal.records[0].points.empty());
-  EXPECT_EQ(wal.records[1].type, WalRecordType::Checkpoint);
-  EXPECT_EQ(wal.records[2].type, WalRecordType::Batch);
-  ASSERT_EQ(wal.records[2].points.size(), 2u);
-  EXPECT_EQ(wal.records[2].points[0].time, kT0 + util::kHour);
-  EXPECT_EQ(wal.records[2].points[0].value, 42.0);
+  // Checkpoint definitions for both (empty-head) series, then the
+  // post-flush put's inline definition.
+  ASSERT_EQ(wal.series.size(), 3u);
+  const char* defined[] = {"c400-000", "c400-001", "c400-002"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(wal.series[i].metric, "golden.metric");
+    EXPECT_EQ(wal.series[i].tags.at("host"), defined[i]);
+    EXPECT_EQ(wal.series[i].cum_sealed, i < 2 ? 10u : 0u);
+  }
+  // Empty checkpoint heads carry no run: only the put's two runs remain.
+  ASSERT_EQ(wal.runs.size(), 2u);
+  EXPECT_EQ(wal.runs[0].series, 0u);
+  ASSERT_EQ(wal.runs[0].points.size(), 2u);
+  EXPECT_EQ(wal.runs[0].points[0].time, kT0 + util::kHour);
+  EXPECT_EQ(wal.runs[0].points[0].value, 42.0);
+  EXPECT_EQ(wal.runs[0].points[1].value, -42.0);
+  EXPECT_EQ(wal.runs[1].series, 2u);
+  ASSERT_EQ(wal.runs[1].points.size(), 1u);
+  EXPECT_EQ(wal.runs[1].points[0].value, 7.5);
 
   const Manifest m = read_manifest(fixtures.string());
   EXPECT_EQ(m.next_seq, 2u);
   ASSERT_EQ(m.segments.size(), 1u);
   EXPECT_EQ(m.segments[0], 1u);
+}
+
+TEST(TsdbPersist, OpenRefusesWalOfAnotherFormatVersion) {
+  // The WAL 1 fixtures: a segment, a manifest and a live WAL generation
+  // holding two acknowledged points no segment covers.
+  const fs::path v1 = fs::path(golden_fixture_dir()) / "v1";
+  const std::string dir = fresh_dir("persist_wal_v1");
+  std::vector<std::pair<fs::path, std::vector<std::uint8_t>>> before;
+  for (const auto& entry : fs::directory_iterator(v1)) {
+    const fs::path to = fs::path(dir) / entry.path().filename();
+    fs::copy_file(entry.path(), to);
+    before.emplace_back(to, read_bytes(to));
+  }
+  ASSERT_EQ(before.size(), 3u);
+  try {
+    Store s = Store::open(dir);
+    ADD_FAILURE() << "a WAL of format 1 was opened";
+  } catch (const WalVersionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("format version 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+  }
+  // Refused before anything was replayed, rotated or swept.
+  std::size_t files = 0;
+  for ([[maybe_unused]] const auto& entry : fs::directory_iterator(dir)) {
+    ++files;
+  }
+  EXPECT_EQ(files, before.size());
+  for (const auto& [path, bytes] : before) {
+    EXPECT_EQ(read_bytes(path), bytes) << path;
+  }
+
+  // A header torn at creation still falls back to the previous generation
+  // and is swept.
+  const std::string torn_dir = fresh_dir("persist_wal_torn_header");
+  Store mem;
+  load_sample(mem, 20);
+  {
+    Store s(durable_options(torn_dir));
+    load_sample(s, 20);
+  }
+  const fs::path torn = fs::path(torn_dir) / "wal-000-000099.log";
+  std::ofstream(torn, std::ios::binary).write("TSWL", 4);
+  Store r = Store::open(torn_dir);
+  EXPECT_FALSE(fs::exists(torn));
+  EXPECT_EQ(r.num_points(), mem.num_points());
+  expect_same_results(r, mem);
 }
 
 TEST(TsdbPersist, OpenThrowsCorruptionErrorOnDamagedManifest) {
