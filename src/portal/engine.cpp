@@ -77,6 +77,13 @@ void append_ts_query(std::string& key, const tsdb::Query& q) {
   key += std::to_string(q.end);
 }
 
+/// What a request shed at admission resolves to.
+QueryResult shed_result() {
+  QueryResult r;
+  r.status = QueryStatus::Overloaded;
+  return r;
+}
+
 }  // namespace
 
 const char* to_string(QueryStatus status) noexcept {
@@ -188,48 +195,46 @@ std::string QueryEngine::cache_key(const QueryRequest& r) {
   return key;
 }
 
-std::future<QueryResult> QueryEngine::submit(const QueryRequest& request) {
-  if (options_.queue_limit != 0 &&
-      in_flight_.fetch_add(1, std::memory_order_acq_rel) >=
-          options_.queue_limit) {
+bool QueryEngine::admit() noexcept {
+  const std::uint64_t ahead =
+      in_flight_.fetch_add(1, std::memory_order_acq_rel);
+  if (options_.queue_limit != 0 && ahead >= options_.queue_limit) {
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     shed_.fetch_add(1, std::memory_order_relaxed);
-    std::promise<QueryResult> shed;
-    QueryResult r;
-    r.status = QueryStatus::Overloaded;
-    auto fut = shed.get_future();
-    shed.set_value(std::move(r));
-    return fut;
-  }
-  if (options_.queue_limit == 0) {
-    in_flight_.fetch_add(1, std::memory_order_acq_rel);
+    return false;
   }
   admitted_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+std::future<QueryResult> QueryEngine::submit(const QueryRequest& request) {
+  if (!admit()) {
+    std::promise<QueryResult> shed;
+    shed.set_value(shed_result());
+    return shed.get_future();
+  }
   return pool_->submit(
       [this, request]() -> QueryResult { return run_admitted(request); });
 }
 
 QueryResult QueryEngine::execute(const QueryRequest& request) {
-  if (options_.queue_limit != 0 &&
-      in_flight_.fetch_add(1, std::memory_order_acq_rel) >=
-          options_.queue_limit) {
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    QueryResult r;
-    r.status = QueryStatus::Overloaded;
-    return r;
-  }
-  if (options_.queue_limit == 0) {
-    in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  admitted_.fetch_add(1, std::memory_order_relaxed);
+  if (!admit()) return shed_result();
   return run_admitted(request);
 }
 
 QueryResult QueryEngine::run_admitted(const QueryRequest& request) {
   if (options_.before_execute) options_.before_execute();
   const auto t0 = SteadyClock::now();
-  const EngineEpoch epoch = current_epoch();
+  // A result is keyed on the part of the epoch its kind reads: a
+  // Timeseries request reads only the store, every other kind only the
+  // jobs table (and the summaries built from it).
+  EngineEpoch epoch = current_epoch();
+  if (request.kind == QueryRequest::Kind::Timeseries) {
+    epoch.jobs_rows = 0;
+    epoch.manual = 0;
+  } else {
+    epoch.store = 0;
+  }
   const Deadline deadline = Deadline::after(
       request.deadline_ns >= 0 ? request.deadline_ns
       : options_.default_deadline_ns > 0 ? options_.default_deadline_ns
@@ -427,7 +432,7 @@ std::optional<std::string> QueryEngine::cache_lookup(const std::string& key,
   const auto it = cache_index_.find(key);
   if (it == cache_index_.end()) return std::nullopt;
   if (!(it->second->second.epoch == epoch)) {
-    // Stale: the store or jobs table moved since this was cached.
+    // Stale: what this entry reads moved since it was cached.
     lru_.erase(it->second);
     cache_index_.erase(it);
     cache_evictions_.fetch_add(1, std::memory_order_relaxed);

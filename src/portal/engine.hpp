@@ -11,8 +11,9 @@
 //        (load shedding beats unbounded queueing: a bounded queue keeps
 //        tail latency finite and the shed count visible).
 //     └─ cache lookup: results are keyed by a canonicalized descriptor of
-//        the request (cache_key()) plus the engine epoch. A hit returns
-//        the exact bytes the cold query produced.
+//        the request (cache_key()) plus the part of the engine epoch the
+//        request reads. A hit returns the exact bytes the cold query
+//        produced.
 //     └─ execution on a util::ThreadPool worker, with the per-query
 //        deadline checked at every cooperative point; expiry returns a
 //        clean TimedOut with NO partial output.
@@ -20,17 +21,20 @@
 //        latency histogram (util::LatencyHistogram) are updated either way.
 //
 // Invalidation: the engine epoch is the triple (tsdb ingest epoch, jobs
-// row count, manual bump). tsdb::Store bumps its epoch on every put that
-// lands points and on every seal_all, so cached results are dropped —
-// lazily, at lookup — the moment new points land. Mutating the jobs table
-// in place (same row count) requires an invalidate_jobs() call.
+// row count, manual bump), and each result is keyed on the part its kind
+// reads. Timeseries results key on the tsdb ingest epoch, which
+// tsdb::Store bumps on every put that lands points and on every seal_all,
+// so they are dropped — lazily, at lookup — the moment new points land.
+// Every other kind, and the Fig. 4 summaries, key on (jobs row count,
+// manual bump), so live tsdb ingest leaves them cached. Mutating the jobs
+// table in place (same row count) requires an invalidate_jobs() call.
 //
 // Fig. 4 histograms are answered from materialized per-job summaries: a
-// per-epoch snapshot of the four panel columns as flat arrays, rebuilt
-// once per epoch, so a histogram query is O(jobs) array gathering — never
-// a rescan of raw points, and no per-row db::Value unboxing on the hot
-// path. The rendered bytes are identical to views::query_histograms by
-// construction (both call render_query_histograms).
+// snapshot of the four panel columns as flat arrays, rebuilt once per
+// jobs-table epoch, so a histogram query is O(jobs) array gathering —
+// never a rescan of raw points, and no per-row db::Value unboxing on the
+// hot path. The rendered bytes are identical to views::query_histograms
+// by construction (both call render_query_histograms).
 //
 // Thread-safety contract:
 //   * submit(), execute(), stats(), stats_table(), current_epoch() and
@@ -154,8 +158,9 @@ struct EngineStats {
   bool operator==(const EngineStats&) const noexcept = default;
 };
 
-/// The engine epoch: cached results are valid only while all three
-/// components are unchanged.
+/// The engine epoch. A cached result is valid only while the components
+/// its kind reads are unchanged: `store` for Timeseries, `jobs_rows` and
+/// `manual` for every other kind.
 struct EngineEpoch {
   std::uint64_t store = 0;      // tsdb::Store::ingest_epoch()
   std::uint64_t jobs_rows = 0;  // jobs-table row count
@@ -196,8 +201,9 @@ class QueryEngine {
   /// The current invalidation epoch. Thread-safe.
   EngineEpoch current_epoch() const noexcept;
 
-  /// Invalidates all cached results after an in-place jobs-table mutation
-  /// the epoch cannot see (same row count). Thread-safe.
+  /// Invalidates every cached jobs-table result and the summaries after
+  /// an in-place jobs-table mutation the epoch cannot see (same row
+  /// count). Thread-safe.
   void invalidate_jobs() noexcept;
 
   /// Counter snapshot. Thread-safe.
@@ -217,6 +223,10 @@ class QueryEngine {
     std::string payload;
   };
 
+  /// Admission control for submit() and execute(): takes an in-flight
+  /// slot and counts the request admitted, or counts it shed and returns
+  /// false when queue_limit requests are already in flight.
+  bool admit() noexcept;
   /// Runs one admitted request end to end (cache lookup, execution,
   /// cache fill, accounting). Called on a worker (submit) or the caller
   /// (execute).
@@ -233,8 +243,8 @@ class QueryEngine {
   void cache_insert(const std::string& key, const EngineEpoch& epoch,
                     const std::string& payload) TACC_EXCLUDES(cache_mu_);
 
-  /// Returns the materialized Fig. 4 summaries for `epoch`, rebuilding
-  /// them if the epoch moved.
+  /// Returns the materialized Fig. 4 summaries for the jobs-table
+  /// `epoch`, rebuilding them if it moved.
   std::shared_ptr<const Summaries> summaries_for(const EngineEpoch& epoch)
       TACC_EXCLUDES(summaries_mu_);
 

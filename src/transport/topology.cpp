@@ -22,7 +22,6 @@ AggregationTree::AggregationTree(
     sizes.push_back((sizes.back() + fanout - 1) / fanout);
   }
   for (std::size_t t = 0; t < sizes.size(); ++t) {
-    const bool is_root = t + 1 == sizes.size();
     std::vector<std::unique_ptr<Broker>> tier;
     tier.reserve(sizes[t]);
     for (std::size_t j = 0; j < sizes[t]; ++j) {
@@ -30,12 +29,8 @@ AggregationTree::AggregationTree(
       broker->declare_queue(queue_);
       broker->bind(queue_, std::string(kRoutingPrefix) + "*");
       if (faults) broker->set_fault_plan(faults);
-      if (!is_root && options_.tier_queue_limit > 0) {
-        broker->set_queue_limit(queue_, options_.tier_queue_limit);
-      }
       if (options_.high_watermark > 0) {
-        broker->set_watermarks(queue_, options_.high_watermark,
-                               options_.low_watermark);
+        broker->set_watermarks(queue_, options_.high_watermark);
       }
       tier.push_back(std::move(broker));
     }

@@ -41,13 +41,9 @@ struct TreeOptions {
   std::size_t batch_records = 64;
   /// Aggregator same-window coalescing bucket (0 = unbounded).
   util::SimTime window = util::kHour;
-  /// Dead-letter depth cap for non-root queues (0 = unlimited). The root
-  /// queue keeps the monitor-level queue_limit knob.
-  std::size_t tier_queue_limit = 0;
-  /// Backpressure watermarks applied to every tier's queue (0 = off).
+  /// Backpressure: every tier's queue pauses at this depth and resumes
+  /// at half of it (0 = off).
   std::size_t high_watermark = 0;
-  /// Resume threshold; 0 defaults to high_watermark / 2.
-  std::size_t low_watermark = 0;
   /// Upward publish retry/spool policy shared by all aggregators.
   RetryPolicy retry{};
 };

@@ -13,87 +13,26 @@ namespace {
 constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 4;
 constexpr std::size_t kFooterSize = 1 + 8 + 4 + 4;
 
-void append_crc(std::vector<std::uint8_t>& buf, std::size_t start) {
-  coding::put_u32(buf, util::crc32c(buf.data() + start, buf.size() - start));
+/// Appends the CRC of everything in `buf`: the tail of one record.
+void append_crc(std::vector<std::uint8_t>& buf) {
+  coding::put_u32(buf, util::crc32c(buf.data(), buf.size()));
 }
 
-/// Serializes the whole segment into one buffer; write_segment then
-/// either writes it fully or, under an injected crash, a deterministic
-/// torn prefix of it.
-std::vector<std::uint8_t> serialize_segment(
-    std::uint64_t file_seq, std::span<const SeriesPayload* const> series) {
-  std::vector<std::uint8_t> buf;
-  coding::put_u32(buf, kSegmentMagic);
-  coding::put_u32(buf, kSegmentFormatVersion);
-  coding::put_u64(buf, file_seq);
-  append_crc(buf, 0);
-
-  for (const SeriesPayload* p : series) {
-    const SeriesPayload& sp = *p;
-    const std::size_t rec_start = buf.size();
-    buf.push_back(kSegmentSeriesTag);
-    put_series_key(buf, sp.metric, sp.tags);
-    coding::put_varint(buf, sp.cum_sealed);
-    coding::put_varint(buf, sp.blocks.size());
-    append_crc(buf, rec_start);
-
-    for (const auto& block : sp.blocks) {
-      const std::size_t blk_start = buf.size();
-      const BlockSummary& s = block->summary();
-      buf.push_back(kSegmentBlockTag);
-      coding::put_varint(buf, coding::zigzag(s.t_min));
-      coding::put_varint(buf, static_cast<std::uint64_t>(s.t_max - s.t_min));
-      coding::put_varint(buf, s.count);
-      coding::put_u64(buf, coding::double_bits(s.sum));
-      coding::put_u64(buf, coding::double_bits(s.min));
-      coding::put_u64(buf, coding::double_bits(s.max));
-      const auto times = block->times_bytes();
-      const auto values = block->values_bytes();
-      coding::put_varint(buf, times.size());
-      coding::put_varint(buf, values.size());
-      coding::put_varint(buf, block->tiers().size());
-      for (const auto& t : block->tiers()) {
-        coding::put_varint(buf, static_cast<std::uint64_t>(t.interval));
-        coding::put_varint(buf, t.data.size());
-      }
-      buf.insert(buf.end(), times.begin(), times.end());
-      buf.insert(buf.end(), values.begin(), values.end());
-      for (const auto& t : block->tiers()) {
-        buf.insert(buf.end(), t.data.begin(), t.data.end());
-      }
-      append_crc(buf, blk_start);
-    }
-  }
-
-  const std::size_t footer_start = buf.size();
-  buf.push_back(kSegmentFooterTag);
-  coding::put_u64(buf, series.size());
-  append_crc(buf, footer_start);
-  coding::put_u32(buf, kSegmentFooterMagic);
-  return buf;
-}
-
-/// Consults the fault plan for one file write; on an injected error,
-/// writes a deterministic torn prefix of `buf` to `path` and throws.
-void write_with_crash_injection(const std::string& path,
-                                std::span<const std::uint8_t> buf,
-                                const util::FaultPlan* faults,
-                                std::string_view site, std::string_view key,
-                                std::uint64_t salt) {
-  std::size_t limit = buf.size();
-  bool crash = false;
-  if (faults != nullptr && !faults->empty()) {
-    const auto d = faults->decide(site, key, salt, 0);
-    if (d.error) {
-      crash = true;
-      limit = static_cast<std::size_t>(
-          faults->uniform(site, key, salt) * static_cast<double>(buf.size()));
-    }
-  }
-  util::FileWriter w(path, /*truncate=*/true);
-  w.append(buf.subspan(0, limit));
-  if (crash) {
-    w.close();  // the torn prefix reaches the file, like a killed process
+/// The one tear rule of the segment and manifest writes. `w` holds the
+/// whole file at `path`. Without an injected error at (site, key, salt)
+/// the file is synced and closed; with one it is cut to a deterministic
+/// prefix, as a process killed mid-write would leave it, and
+/// InjectedCrash is thrown.
+void finish_file(util::FileWriter& w, const std::string& path,
+                 const util::FaultPlan* faults, std::string_view site,
+                 std::string_view key, std::uint64_t salt) {
+  if (faults != nullptr && !faults->empty() &&
+      faults->decide(site, key, salt, 0).error) {
+    const std::size_t size = w.offset();
+    w.close();
+    std::filesystem::resize_file(
+        path, static_cast<std::size_t>(faults->uniform(site, key, salt) *
+                                       static_cast<double>(size)));
     throw InjectedCrash(std::string(site));
   }
   w.sync();
@@ -110,17 +49,69 @@ std::string segment_path(const std::string& dir, std::uint64_t seq) {
 }
 
 void write_segment(const std::string& path, std::uint64_t file_seq,
-                   std::span<const SeriesPayload* const> series,
+                   std::span<const SegmentSeries> series,
                    const util::FaultPlan* faults, std::string_view fault_key) {
-  const std::vector<std::uint8_t> buf = serialize_segment(file_seq, series);
-  write_with_crash_injection(path, buf, faults, util::kFaultBlockFileWrite,
-                             fault_key, file_seq);
+  util::FileWriter w(path, /*truncate=*/true);
+  // One record at a time: staged, checksummed, appended, reused.
+  std::vector<std::uint8_t> rec;
+  const auto emit = [&w, &rec] {
+    append_crc(rec);
+    w.append(rec);
+    rec.clear();
+  };
+  coding::put_u32(rec, kSegmentMagic);
+  coding::put_u32(rec, kSegmentFormatVersion);
+  coding::put_u64(rec, file_seq);
+  emit();
+
+  for (const SegmentSeries& sp : series) {
+    rec.push_back(kSegmentSeriesTag);
+    put_series_key(rec, sp.metric, sp.tags);
+    coding::put_varint(rec, sp.cum_sealed);
+    coding::put_varint(rec, sp.blocks.size());
+    emit();
+
+    for (const auto& block : sp.blocks) {
+      const BlockSummary& s = block->summary();
+      rec.push_back(kSegmentBlockTag);
+      coding::put_varint(rec, coding::zigzag(s.t_min));
+      coding::put_varint(rec, static_cast<std::uint64_t>(s.t_max - s.t_min));
+      coding::put_varint(rec, s.count);
+      coding::put_u64(rec, coding::double_bits(s.sum));
+      coding::put_u64(rec, coding::double_bits(s.min));
+      coding::put_u64(rec, coding::double_bits(s.max));
+      const auto times = block->times_bytes();
+      const auto values = block->values_bytes();
+      coding::put_varint(rec, times.size());
+      coding::put_varint(rec, values.size());
+      coding::put_varint(rec, block->tiers().size());
+      for (const auto& t : block->tiers()) {
+        coding::put_varint(rec, static_cast<std::uint64_t>(t.interval));
+        coding::put_varint(rec, t.data.size());
+      }
+      rec.insert(rec.end(), times.begin(), times.end());
+      rec.insert(rec.end(), values.begin(), values.end());
+      for (const auto& t : block->tiers()) {
+        rec.insert(rec.end(), t.data.begin(), t.data.end());
+      }
+      emit();
+    }
+  }
+
+  rec.push_back(kSegmentFooterTag);
+  coding::put_u64(rec, series.size());
+  append_crc(rec);
+  coding::put_u32(rec, kSegmentFooterMagic);
+  w.append(rec);
+  finish_file(w, path, faults, util::kFaultBlockFileWrite, fault_key,
+              file_seq);
 }
 
-LoadedSegment load_segment(const std::string& path) {
-  LoadedSegment out;
-  out.file = util::MmapFile::map(path);
-  const auto data = out.file->bytes();
+std::uint64_t load_segment(
+    const std::string& path,
+    const std::function<void(const SegmentSeries&)>& visit) {
+  const auto file = util::MmapFile::map(path);
+  const auto data = file->bytes();
 
   if (data.size() < kHeaderSize + kFooterSize) {
     throw CorruptionError("segment too short", 0);
@@ -132,7 +123,7 @@ LoadedSegment load_segment(const std::string& path) {
   if (header.u32(0) != kSegmentFormatVersion) {
     throw CorruptionError("unsupported segment version", 4);
   }
-  out.file_seq = header.u64(0);
+  const std::uint64_t file_seq = header.u64(0);
   header.check_crc(0, "segment header");
 
   // Footer first: it is the commit marker, so a torn tail is reported as
@@ -149,19 +140,25 @@ LoadedSegment load_segment(const std::string& path) {
   }
 
   ByteReader r({data.data(), footer_off}, kHeaderSize);
-  out.series.reserve(n_series);
+  std::vector<std::pair<std::string_view, std::string_view>> tags;
+  std::vector<std::shared_ptr<const SealedBlock>> blocks;
   for (std::uint64_t si = 0; si < n_series; ++si) {
     const std::size_t rec_start = r.pos();
     if (r.u8(rec_start) != kSegmentSeriesTag) {
       throw CorruptionError("bad series tag", rec_start);
     }
-    SeriesPayload sp;
-    r.series_key(rec_start, sp.metric, sp.tags);
-    sp.cum_sealed = r.varint(rec_start);
+    const std::string_view metric = r.view(rec_start);
+    const std::uint64_t n_tags = r.varint(rec_start);
+    tags.clear();
+    for (std::uint64_t i = 0; i < n_tags; ++i) {
+      const std::string_view k = r.view(rec_start);
+      tags.emplace_back(k, r.view(rec_start));
+    }
+    const std::uint64_t cum_sealed = r.varint(rec_start);
     const std::uint64_t n_blocks = r.varint(rec_start);
     r.check_crc(rec_start, "series record");
 
-    sp.blocks.reserve(n_blocks);
+    blocks.clear();
     for (std::uint64_t bi = 0; bi < n_blocks; ++bi) {
       const std::size_t blk_start = r.pos();
       if (r.u8(blk_start) != kSegmentBlockTag) {
@@ -183,6 +180,9 @@ LoadedSegment load_segment(const std::string& path) {
         throw CorruptionError("half-empty block streams", blk_start);
       }
       const std::uint64_t n_tiers = r.varint(blk_start);
+      if (n_tiers > r.left() / 2) {  // sized before the CRC: 2+ B per tier
+        throw CorruptionError("bad tier count", blk_start);
+      }
       std::vector<TierLevel> tiers(n_tiers);
       for (auto& t : tiers) {
         t.interval = static_cast<util::SimTime>(r.varint(blk_start));
@@ -200,16 +200,15 @@ LoadedSegment load_segment(const std::string& path) {
         t.entries = 0;
       }
       r.check_crc(blk_start, "block record");
-      sp.blocks.push_back(
-          SealedBlock::from_parts(s, times, values, std::move(tiers),
-                                  out.file));
+      blocks.push_back(
+          SealedBlock::from_parts(s, times, values, std::move(tiers), file));
     }
-    out.series.push_back(std::move(sp));
+    visit({metric, tags, cum_sealed, blocks});
   }
   if (r.pos() != footer_off) {
     throw CorruptionError("trailing bytes before footer", r.pos());
   }
-  return out;
+  return file_seq;
 }
 
 Manifest read_manifest(const std::string& dir) {
@@ -241,10 +240,12 @@ void write_manifest(const std::string& dir, const Manifest& manifest,
   coding::put_u64(buf, manifest.next_seq);
   coding::put_u32(buf, static_cast<std::uint32_t>(manifest.segments.size()));
   for (const std::uint64_t s : manifest.segments) coding::put_u64(buf, s);
-  append_crc(buf, 0);
+  append_crc(buf);
 
   const std::string tmp = dir + "/MANIFEST.tmp";
-  write_with_crash_injection(tmp, buf, faults, fault_site, "manifest", salt);
+  util::FileWriter w(tmp, /*truncate=*/true);
+  w.append(buf);
+  finish_file(w, tmp, faults, fault_site, "manifest", salt);
   util::atomic_replace(tmp, dir + "/MANIFEST");
 }
 

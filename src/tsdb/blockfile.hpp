@@ -21,11 +21,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "tsdb/block.hpp"
@@ -143,19 +145,19 @@ class ByteReader {
     return s;
   }
 
-  /// A put_string() field.
-  std::string string(std::size_t unit) {
+  /// A put_string() field, viewed in place.
+  std::string_view view(std::size_t unit) {
     const auto s = bytes(varint(unit), unit);
-    return {s.begin(), s.end()};
+    return {reinterpret_cast<const char*>(s.data()), s.size()};
   }
 
   /// A put_series_key() field.
   void series_key(std::size_t unit, std::string& metric, TagSet& tags) {
-    metric = string(unit);
+    metric = view(unit);
     const std::uint64_t n_tags = varint(unit);
     for (std::uint64_t i = 0; i < n_tags; ++i) {
-      std::string k = string(unit);
-      tags.emplace(std::move(k), string(unit));
+      const std::string_view k = view(unit);
+      tags.emplace(k, view(unit));
     }
   }
 
@@ -193,38 +195,37 @@ void put_series_key(std::vector<std::uint8_t>& out, std::string_view metric,
   }
 }
 
-/// One series' worth of persisted state: the unit the segment writer
-/// consumes and the reader produces.
-struct SeriesPayload {
-  std::string metric;
-  TagSet tags;
+/// A series' tags as (key, value) views, sorted by key: the form the store
+/// interns and the segment and WAL writers encode.
+using TagViews = std::span<const std::pair<std::string_view, std::string_view>>;
+
+/// One series' record in a segment, as views: write_segment reads the
+/// store's own keys through it, and load_segment visits one per record.
+struct SegmentSeries {
+  std::string_view metric;
+  TagViews tags;
   /// Cumulative points ever persisted for this series (see format note).
   std::uint64_t cum_sealed = 0;
-  std::vector<std::shared_ptr<const SealedBlock>> blocks;
-};
-
-/// A successfully validated, memory-mapped segment. `series[i].blocks`
-/// view the mapping and pin it via their backing pointer, so the
-/// LoadedSegment itself may be discarded once the blocks are adopted.
-struct LoadedSegment {
-  std::uint64_t file_seq = 0;
-  std::shared_ptr<const util::MmapFile> file;
-  std::vector<SeriesPayload> series;
+  std::span<const std::shared_ptr<const SealedBlock>> blocks;
 };
 
 /// Writes a complete segment file at `path` (final name; the file is
-/// inert until a manifest names it). `series` must be sorted by
-/// (metric, canonical tags); load_segment returns them in this order.
-/// When `faults` injects an error at util::kFaultBlockFileWrite (key
-/// `fault_key`, salt `file_seq`), a deterministic prefix of the file is
-/// written and InjectedCrash thrown.
+/// inert until a manifest names it), one record at a time. `series` must
+/// be sorted by (metric, canonical tags). When `faults` injects an error
+/// at util::kFaultBlockFileWrite (key `fault_key`, salt `file_seq`), the
+/// file is cut to a deterministic prefix and InjectedCrash thrown.
 void write_segment(const std::string& path, std::uint64_t file_seq,
-                   std::span<const SeriesPayload* const> series,
+                   std::span<const SegmentSeries> series,
                    const util::FaultPlan* faults, std::string_view fault_key);
 
-/// Maps and fully validates a segment (every CRC, every structural
-/// bound). Throws CorruptionError on any damage.
-LoadedSegment load_segment(const std::string& path);
+/// Maps and validates a segment (every CRC, every structural bound),
+/// calling `visit` per series in file order once its records pass. The
+/// key views last for the call; the blocks pin the mapping. Returns the
+/// file's sequence number. Throws CorruptionError on any damage, after
+/// visiting exactly the series ahead of it.
+std::uint64_t load_segment(
+    const std::string& path,
+    const std::function<void(const SegmentSeries&)>& visit);
 
 struct Manifest {
   std::uint64_t next_seq = 1;

@@ -200,17 +200,6 @@ const RetentionPolicy* find_retention(
   return best;
 }
 
-/// A series' interned tag views as an owning TagSet: the form segment
-/// payloads carry.
-TagSet owned_tags(
-    std::span<const std::pair<std::string_view, std::string_view>> tags) {
-  TagSet out;
-  for (const auto& [k, v] : tags) {
-    out.emplace_hint(out.end(), std::string(k), std::string(v));
-  }
-  return out;
-}
-
 /// Parses "wal-<shard>-<gen>.log"; returns false for any other name.
 bool parse_wal_name(const std::string& name, std::uint32_t& shard,
                     std::uint64_t& gen) {
@@ -487,8 +476,8 @@ void Store::install(Shard& shard, Series& series, std::size_t first,
       series.blocks.erase(at, series.blocks.begin() + static_cast<long>(last)),
       blocks.begin(), blocks.end());
   series.persisted_blocks = first + blocks.size();
-  // cum_persisted is monotonic: a flush payload raises it, a compaction
-  // payload carries it unchanged, and recovery keeps the larger count.
+  // cum_persisted is monotonic: a flush slice raises it, a compaction
+  // slice carries it unchanged, and recovery keeps the larger count.
   series.cum_persisted = std::max(series.cum_persisted, cum_sealed);
   // Unsigned wrap-around: a retention drop subtracts.
   shard.points.fetch_add(new_pts - old_pts, std::memory_order_relaxed);
@@ -544,16 +533,16 @@ void Store::recover() {
   live.insert("MANIFEST");
   for (const std::uint64_t seq : manifest.segments) {
     const std::string path = segment_path(d.dir, seq);
-    const LoadedSegment seg = load_segment(path);
-    for (const SeriesPayload& payload : seg.series) {
-      const Handle h = series(payload.metric, payload.tags);
+    load_segment(path, [this](const SegmentSeries& loaded) {
+      const TagSet tags(loaded.tags.begin(), loaded.tags.end());
+      const Handle h = series(std::string(loaded.metric), tags);
       Shard& shard = *shards_[h.shard_];
       util::MutexLock lock(shard.mu);
       // Manifest order is oldest-first and segments load before any WAL
       // replays, so every block so far is persisted: append in seal order.
       const std::size_t end = h.series_->blocks.size();
-      install(shard, *h.series_, end, end, payload.blocks, payload.cum_sealed);
-    }
+      install(shard, *h.series_, end, end, loaded.blocks, loaded.cum_sealed);
+    });
     ++recovery_.segments_loaded;
     live.insert(fs::path(path).filename().string());
   }
@@ -679,10 +668,9 @@ std::vector<Store::Slice> Store::snapshot(bool compaction,
           cum += series.blocks[i]->count();
         }
         const auto at = series.blocks.begin();
-        slices.push_back({shard.get(), &series, canon, first, last,
-                          {metric, owned_tags(series.tags), cum,
-                           {at + static_cast<long>(first),
-                            at + static_cast<long>(last)}}});
+        slices.push_back({shard.get(), &series, canon, first, last, cum,
+                          {at + static_cast<long>(first),
+                           at + static_cast<long>(last)}});
       }
     }
   }
@@ -693,18 +681,19 @@ void Store::commit(DurableState& d, std::vector<Slice>& slices,
                    bool compaction) {
   // The format wants series sorted by (metric, canonical tags) so the same
   // logical state always produces the same file bytes. The slices stay
-  // valid outside the shard locks: ingest only appends blocks, and the
-  // persisted prefix moves only here, under d.mu.
-  std::vector<Slice*> order;
-  order.reserve(slices.size());
-  for (Slice& s : slices) order.push_back(&s);
-  std::sort(order.begin(), order.end(), [](const Slice* a, const Slice* b) {
-    return std::tie(a->payload.metric, a->canon) <
-           std::tie(b->payload.metric, b->canon);
+  // valid outside the shard locks: ingest only appends blocks, the
+  // persisted prefix moves only here, under d.mu, and a series' key views
+  // never change.
+  std::sort(slices.begin(), slices.end(), [](const Slice& a, const Slice& b) {
+    return std::tie(a.series->metric, a.canon) <
+           std::tie(b.series->metric, b.canon);
   });
-  std::vector<const SeriesPayload*> written;
-  for (const Slice* s : order) {
-    if (!s->payload.blocks.empty()) written.push_back(&s->payload);
+  std::vector<SegmentSeries> written;
+  for (const Slice& s : slices) {
+    if (!s.blocks.empty()) {
+      written.push_back(
+          {s.series->metric, s.series->tags, s.cum_sealed, s.blocks});
+    }
   }
 
   // Segment first (inert until named), then the manifest commit point.
@@ -722,18 +711,25 @@ void Store::commit(DurableState& d, std::vector<Slice>& slices,
                  seq);
   d.manifest = std::move(m);
 
-  // Swap in the mmap-backed copies. load_segment returns series in write
-  // order, so the n-th reloaded series belongs to the n-th written slice.
-  const LoadedSegment seg = load_segment(path);
-  std::size_t next = 0;
-  for (const Slice* s : order) {
-    std::span<const std::shared_ptr<const SealedBlock>> blocks;
-    if (!s->payload.blocks.empty()) blocks = seg.series[next++].blocks;
-    Shard& shard = *s->shard;
-    util::MutexLock lock(shard.mu);
-    install(shard, *s->series, s->first, s->last, blocks,
-            s->payload.cum_sealed);
-  }
+  // Swap in the mmap-backed copies. The read-back checks every CRC and
+  // visits the series in write order, so the n-th visited series belongs
+  // to the n-th written slice; its key views go unused.
+  auto next = slices.begin();
+  const auto install_next =
+      [&](std::span<const std::shared_ptr<const SealedBlock>> blocks) {
+        const Slice& s = *next++;
+        Shard& shard = *s.shard;
+        util::MutexLock lock(shard.mu);
+        install(shard, *s.series, s.first, s.last, blocks, s.cum_sealed);
+      };
+  load_segment(path, [&](const SegmentSeries& loaded) {
+    while (next != slices.end() && next->blocks.empty()) install_next({});
+    if (next == slices.end()) {
+      throw CorruptionError("segment holds more series than were written", 0);
+    }
+    install_next(loaded.blocks);
+  });
+  while (next != slices.end()) install_next({});
 }
 
 void Store::flush() {
@@ -772,7 +768,7 @@ bool Store::compact() {
   std::vector<Slice> slices = snapshot(/*compaction=*/true, &data_max);
   if (slices.empty()) return false;
 
-  // Plan the rewrite of each slice's payload: apply retention, then merge
+  // Plan the rewrite of each slice's blocks: apply retention, then merge
   // runs of consecutive non-overlapping raw blocks up to
   // kCompactBlockPoints. Re-sealing the concatenated decode is exact: each
   // block decodes to a sorted run and next.t_min >= prev.t_max, so the
@@ -781,10 +777,10 @@ bool Store::compact() {
   bool changed = d.manifest.segments.size() > 1;
   for (Slice& s : slices) {
     const RetentionPolicy* policy =
-        find_retention(d.retention, s.payload.metric);
+        find_retention(d.retention, s.series->metric);
     const std::vector<std::shared_ptr<const SealedBlock>> in =
-        std::exchange(s.payload.blocks, {});
-    auto& out = s.payload.blocks;
+        std::exchange(s.blocks, {});
+    auto& out = s.blocks;
     std::vector<std::shared_ptr<const SealedBlock>> run;
     std::size_t run_points = 0;
     const auto emit_run = [&] {

@@ -404,15 +404,17 @@ class Store {
     std::atomic<bool> closed{false};
   };
   /// One series' part of a segment commit: the block range [first, last)
-  /// the segment replaces, and the payload written in its place. A payload
-  /// left without blocks is not written and installs an empty range.
+  /// the segment replaces, and the blocks and cum_sealed written in its
+  /// place under the series' own keys. A slice left without blocks is not
+  /// written and installs an empty range.
   struct Slice {
     Shard* shard = nullptr;
     Series* series = nullptr;
     std::string_view canon;  // the series' map key: the write order
     std::size_t first = 0;
     std::size_t last = 0;
-    SeriesPayload payload;
+    std::uint64_t cum_sealed = 0;
+    std::vector<std::shared_ptr<const SealedBlock>> blocks;
   };
   /// A matched series snapshot plus its per-series query result; the
   /// snapshot (block refs + head copy) is taken under the shard lock and
@@ -458,8 +460,8 @@ class Store {
   /// `data_max`, when given, is raised to the newest data time stored.
   std::vector<Slice> snapshot(bool compaction, util::SimTime* data_max);
   /// The commit path of flush() and compact(): segment -> manifest (flush
-  /// appends the segment, compaction replaces every segment) -> reload ->
-  /// install each reloaded series over its slice's range.
+  /// appends the segment, compaction replaces every segment) -> read-back
+  /// -> install each visited series over its slice's range.
   void commit(DurableState& d, std::vector<Slice>& slices, bool compaction)
       TACC_REQUIRES(d.mu);
   /// The one rule that puts segment-backed blocks into a series, for flush,

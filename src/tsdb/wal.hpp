@@ -32,7 +32,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "tsdb/block.hpp"
@@ -86,10 +85,6 @@ enum class WalSync {
   OnFlush,  // fsync at flush/rotation boundaries (the default)
   Always,   // fsync after every frame, before the put returns
 };
-
-/// A series' tags as (key, value) views, sorted by key: the form the store
-/// interns and the WAL writer encodes.
-using TagViews = std::span<const std::pair<std::string_view, std::string_view>>;
 
 /// One series defined in a WAL file; its id is its index in
 /// WalReplay::series.

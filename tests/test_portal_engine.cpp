@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <future>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -173,6 +174,27 @@ TEST(EngineEpochTest, StoreIngestInvalidatesExactly) {
   EXPECT_FALSE(engine.execute(req).cached);
   // No further ingest: now it caches again.
   EXPECT_TRUE(engine.execute(req).cached);
+}
+
+TEST(EngineEpochTest, StoreIngestKeepsJobsTableResultsCached) {
+  db::Database database;
+  auto& jobs = populated_jobs(database);
+  tsdb::Store store;
+  QueryEngine engine(jobs, &store);
+
+  ASSERT_EQ(engine.execute(search_request()).status, QueryStatus::Ok);
+  ASSERT_EQ(engine.execute(histogram_request()).status, QueryStatus::Ok);
+  const tsdb::Store::Handle h =
+      store.series("llite.open", {{"host", "c401-001"}});
+  for (int i = 0; i < 5; ++i) {
+    const tsdb::DataPoint p{i * util::kMinute, 1.0 * i};
+    store.put(h, std::span<const tsdb::DataPoint>(&p, 1));
+    // The store moved, the jobs table did not: neither request reads it.
+    EXPECT_TRUE(engine.execute(search_request()).cached) << "put " << i;
+    EXPECT_TRUE(engine.execute(histogram_request()).cached) << "put " << i;
+  }
+  EXPECT_EQ(engine.stats().cache_hits, 10u);
+  EXPECT_EQ(engine.stats().summary_rebuilds, 1u);
 }
 
 TEST(EngineEpochTest, JobsRowCountAndManualBumpInvalidate) {

@@ -565,8 +565,7 @@ TEST(Backpressure, WatermarksPauseTiersAndDaemonsSpool) {
   mc.topology.leaf_brokers = 2;
   mc.topology.fanout = 2;
   mc.topology.batch_records = 4;
-  mc.topology.high_watermark = 4;
-  mc.topology.low_watermark = 2;
+  mc.topology.high_watermark = 4;  // resumes at 2
   core::ClusterMonitor monitor(cluster, mc);
 
   // Kill the consumer and keep collecting: the root fills to its high

@@ -1,16 +1,18 @@
-// The durable tsdb's primitive codecs and head buffers: CRC-32C known
-// answers and hardware/table agreement, the word-at-a-time bit writer and
-// reader against a one-bit reference, and the head buffer's geometric
-// growth (allocations counted by a replacement operator new).
+// The durable tsdb's primitive codecs and buffers: CRC-32C known answers
+// and hardware/table agreement, the word-at-a-time bit writer and reader
+// against a one-bit reference, the head buffer's geometric growth, and
+// the allocations of a flush (counted by a replacement operator new).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <new>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -161,6 +163,44 @@ TEST(HeadBuffer, OnePointPutsGrowTheHeadGeometrically) {
   // reserve per put would allocate 1000 times.
   EXPECT_LE(g_allocations.load(), 12u);
   EXPECT_EQ(store.num_points(), 1000u);
+}
+
+// ---- Segment flush -------------------------------------------------------
+
+TEST(SegmentFlush, AllocatesAFewTimesPerSeries) {
+  const auto dir =
+      std::filesystem::path(::testing::TempDir()) / "coding_flush_allocs";
+  std::filesystem::remove_all(dir);
+  StoreOptions o;
+  o.data_dir = dir.string();
+  o.block_points = 16;
+  Store store(o);
+  constexpr std::size_t kSeries = 400;
+  std::vector<DataPoint> pts(o.block_points);
+  for (std::size_t s = 0; s < kSeries; ++s) {
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      pts[i] = {static_cast<util::SimTime>(i) * util::kMinute,
+                static_cast<double>(s + i)};
+    }
+    // The ingest sink's key shape: (host, type, device, event).
+    store.put_batch("taccstats.cpu.user",
+                    {{"host", "c400-" + std::to_string(s)},
+                     {"type", "cpu"},
+                     {"device", std::to_string(s % 16)},
+                     {"event", "user"}},
+                    pts);
+  }
+  ASSERT_EQ(store.storage_stats().sealed_blocks, kSeries);
+
+  g_allocations = 0;
+  g_counting = true;
+  store.flush();
+  g_counting = false;
+  // The segment is written from the store's own keys, record by record,
+  // and read back as views: what is left per series is its slice's block
+  // list and the mapped block that replaces the in-memory one.
+  EXPECT_LE(g_allocations.load(), 8 * kSeries);
+  EXPECT_EQ(store.disk_stats().persisted_points, kSeries * o.block_points);
 }
 
 }  // namespace

@@ -764,33 +764,38 @@ TEST(TsdbPersist, GoldenReaderDecodesCommittedFixtureExactly) {
   if (!fs::exists(fixtures / "seg-000001.blk")) {
     GTEST_SKIP() << "fixtures not generated yet";
   }
-  const LoadedSegment seg =
-      load_segment((fixtures / "seg-000001.blk").string());
-  EXPECT_EQ(seg.file_seq, 1u);
-  ASSERT_EQ(seg.series.size(), 2u);
   // Sorted by (metric, canonical tags): c400-000 first.
   const char* hosts[] = {"c400-000", "c400-001"};
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_EQ(seg.series[i].metric, "golden.metric");
-    EXPECT_EQ(seg.series[i].tags.at("host"), hosts[i]);
-    // block_points=4, 10 points, seal_all: blocks of 4+4+2.
-    ASSERT_EQ(seg.series[i].blocks.size(), 3u);
-    EXPECT_EQ(seg.series[i].cum_sealed, 10u);
-    std::vector<DataPoint> got;
-    for (const auto& blk : seg.series[i].blocks) {
-      EXPECT_TRUE(blk->has_raw());
-      EXPECT_FALSE(blk->tiers().empty());
-      blk->decode_append(got);
-    }
-    const auto want = golden_points(i);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t p = 0; p < want.size(); ++p) {
-      EXPECT_EQ(got[p].time, want[p].time);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[p].value),
-                std::bit_cast<std::uint64_t>(want[p].value))
-          << "series " << i << " point " << p;
-    }
-  }
+  int i = 0;
+  const std::uint64_t file_seq = load_segment(
+      (fixtures / "seg-000001.blk").string(), [&](const SegmentSeries& s) {
+        ASSERT_LT(i, 2);
+        EXPECT_EQ(s.metric, "golden.metric");
+        ASSERT_EQ(s.tags.size(), 2u);
+        EXPECT_EQ(s.tags[0].first, "host");
+        EXPECT_EQ(s.tags[0].second, hosts[i]);
+        EXPECT_EQ(s.tags[1].second, std::to_string(i));
+        // block_points=4, 10 points, seal_all: blocks of 4+4+2.
+        ASSERT_EQ(s.blocks.size(), 3u);
+        EXPECT_EQ(s.cum_sealed, 10u);
+        std::vector<DataPoint> got;
+        for (const auto& blk : s.blocks) {
+          EXPECT_TRUE(blk->has_raw());
+          EXPECT_FALSE(blk->tiers().empty());
+          blk->decode_append(got);
+        }
+        const auto want = golden_points(i);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t p = 0; p < want.size(); ++p) {
+          EXPECT_EQ(got[p].time, want[p].time);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[p].value),
+                    std::bit_cast<std::uint64_t>(want[p].value))
+              << "series " << i << " point " << p;
+        }
+        ++i;
+      });
+  EXPECT_EQ(file_seq, 1u);
+  EXPECT_EQ(i, 2);
 
   const WalReplay wal =
       replay_wal((fixtures / "wal-000-000002.log").string());
@@ -887,6 +892,48 @@ TEST(TsdbPersist, OpenThrowsCorruptionErrorOnDamagedManifest) {
       .write(reinterpret_cast<const char*>(bytes.data()),
              static_cast<std::streamsize>(bytes.size()));
   EXPECT_THROW(Store::open(dir), CorruptionError);
+}
+
+TEST(TsdbPersist, SegmentBlockClaimingMoreTiersThanItsBytesIsRefused) {
+  // The tier count is read before the block's CRC, so the reader must
+  // bound it by the bytes left before sizing anything by it.
+  std::vector<std::uint8_t> seg;
+  std::vector<std::uint8_t> rec;
+  const auto emit = [&] {
+    coding::put_u32(rec, util::crc32c(rec.data(), rec.size()));
+    seg.insert(seg.end(), rec.begin(), rec.end());
+    rec.clear();
+  };
+  coding::put_u32(rec, kSegmentMagic);
+  coding::put_u32(rec, kSegmentFormatVersion);
+  coding::put_u64(rec, 1);
+  emit();
+  rec.push_back(kSegmentSeriesTag);
+  put_series_key(rec, "m", TagSet{});
+  coding::put_varint(rec, 1);  // cum_sealed
+  coding::put_varint(rec, 1);  // n_blocks
+  emit();
+  rec.push_back(kSegmentBlockTag);
+  for (int i = 0; i < 2; ++i) coding::put_varint(rec, 0);  // t_min, span
+  coding::put_varint(rec, 1);                               // count
+  for (int i = 0; i < 3; ++i) coding::put_u64(rec, 0);     // sum, min, max
+  for (int i = 0; i < 2; ++i) coding::put_varint(rec, 0);  // no raw streams
+  coding::put_varint(rec, std::uint64_t{1} << 62);          // n_tiers
+  emit();
+  rec.push_back(kSegmentFooterTag);
+  coding::put_u64(rec, 1);
+  emit();
+  coding::put_u32(seg, kSegmentFooterMagic);
+
+  const fs::path path = fs::path(fresh_dir("persist_tier_count")) / "seg.blk";
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(seg.data()),
+             static_cast<std::streamsize>(seg.size()));
+  int visited = 0;
+  EXPECT_THROW(load_segment(path.string(),
+                            [&visited](const SegmentSeries&) { ++visited; }),
+               CorruptionError);
+  EXPECT_EQ(visited, 0);
 }
 
 }  // namespace
