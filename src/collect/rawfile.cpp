@@ -54,35 +54,6 @@ void append_record(std::string& out, const Record& record) {
   }
 }
 
-/// Appends owning Records from the view stream, replicating the legacy
-/// parser's partial-progress contract: the record lands in `records`
-/// before its data rows parse, so a throw mid-record leaves the rows
-/// parsed so far attached to it.
-struct MaterializeSink {
-  std::vector<Record>& records;
-  // Records in one log share a shape, so the previous record's block
-  // count is a near-exact reserve hint for the next.
-  std::size_t block_hint = 0;
-
-  void record(const RecordView& r) {
-    if (!records.empty()) block_hint = records.back().blocks.size();
-    Record rec;
-    rec.time = r.time;
-    rec.jobids.assign(r.jobids.begin(), r.jobids.end());
-    rec.mark = std::string(r.mark);
-    rec.blocks.reserve(block_hint);
-    records.push_back(std::move(rec));
-  }
-
-  void block(const RawBlockView& b) {
-    RawBlock blk;
-    blk.type = std::string(b.type);
-    blk.device = std::string(b.device);
-    blk.values.assign(b.values.begin(), b.values.end());
-    records.back().blocks.push_back(std::move(blk));
-  }
-};
-
 }  // namespace
 
 std::string HostLog::serialize_header() const {
@@ -120,8 +91,33 @@ void HostLog::parse_records(std::string_view body) {
   // one message body per record) reuse the same scratch vectors: zero heap
   // allocations from the scan itself in steady state.
   static thread_local RecordViewParser parser;
-  MaterializeSink sink{records};
+  MaterializeSink sink(*this);
   parser.parse_body(*this, body, sink);
+}
+
+void MaterializeSink::header(const HostLog& log) {
+  log_.hostname = log.hostname;
+  log_.arch = log.arch;
+  log_.schemas = log.schemas;
+}
+
+void MaterializeSink::record(const RecordView& r) {
+  auto& records = log_.records;
+  if (!records.empty()) block_hint_ = records.back().blocks.size();
+  Record rec;
+  rec.time = r.time;
+  rec.jobids.assign(r.jobids.begin(), r.jobids.end());
+  rec.mark = std::string(r.mark);
+  rec.blocks.reserve(block_hint_);
+  records.push_back(std::move(rec));
+}
+
+void MaterializeSink::block(const RawBlockView& b) {
+  RawBlock blk;
+  blk.type = std::string(b.type);
+  blk.device = std::string(b.device);
+  blk.values.assign(b.values.begin(), b.values.end());
+  log_.records.back().blocks.push_back(std::move(blk));
 }
 
 std::size_t HostLog::parse_header(std::string_view text) {

@@ -24,7 +24,9 @@
 // means no job / no device instance.
 //
 // HostLog::parse reads the header lines itself and streams the body through
-// collect::RecordViewParser (rawview.hpp) into owning Records.
+// collect::RecordViewParser (rawview.hpp) into owning Records, by way of a
+// collect::MaterializeSink; transport::RawArchive builds its HostLog copies
+// through the same sink.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,13 @@
-// Zero-copy view parser for raw stats record bodies.
+// Zero-copy view parser for raw stats record bodies, and the record sink
+// interface it shares with the archive's replay.
 //
 // Owning Records (strings + vectors, several heap allocations per line)
-// are the right shape for the archive but far too slow as a decode loop.
+// are the public record type but far too slow as a decode loop.
 // RecordViewParser instead walks the body with util::SimdScanner and emits
 // *views*: string_views into the input buffer plus spans over two reusable
 // scratch vectors for the numeric payloads (the record line's job ids and
 // the data row's counter values). HostLog::parse_records runs it with a
-// materializing sink; the tsdb text load runs it with a sink that stages
+// MaterializeSink; the tsdb text load runs it with a sink that stages
 // points directly. A parser instance reused across records/bodies performs
 // zero heap allocations in steady state: the token, job-id and value
 // scratch vectors keep their capacity.
@@ -17,9 +18,14 @@
 //   sink.block(const RawBlockView&) — a "type device v0 v1 ..." data row
 //                                     belonging to the last record
 //
+// transport::RawArchive::replay drives the same two calls from its stored
+// columns, through the RecordSink base below, plus header() before the
+// first record and keep(), a filter the parser does not call.
+//
 // Lifetime: RecordView::jobids is valid until the next record() call,
 // RawBlockView::values until the next sink call, and the string views
-// until parse_body returns. Sinks that need longer-lived data must copy.
+// until parse_body (or the replay) returns. Sinks that need longer-lived
+// data must copy.
 //
 // Error semantics are bit-for-bit those of the legacy parser: the same
 // std::invalid_argument messages, thrown at the same input positions, and
@@ -55,8 +61,50 @@ struct RecordView {
 struct RawBlockView {
   std::string_view type;    // into the input buffer
   std::string_view device;  // empty if the row said "-"
-  const Schema* schema = nullptr;  // never null when delivered
+  /// Never null from the parser, which rejects such a row. Null from an
+  /// archive replay when the host header has no schema for `type`.
+  const Schema* schema = nullptr;
   std::span<const std::uint64_t> values;  // parser scratch, schema arity
+};
+
+/// A sink of the record stream. RecordViewParser calls record() and
+/// block() on the sink's own type; the archive's replay calls all four
+/// through this base. A sink marked final is called without virtual
+/// dispatch by the parser.
+class RecordSink {
+ public:
+  /// The host header (identity and schemas; no records), once, before the
+  /// first record of a replay.
+  virtual void header(const HostLog& log) { (void)log; }
+  /// Whether a replay delivers this record: false skips its record() call
+  /// and its blocks.
+  virtual bool keep(const RecordView& r) {
+    (void)r;
+    return true;
+  }
+  virtual void record(const RecordView& r) = 0;
+  virtual void block(const RawBlockView& b) = 0;
+
+ protected:
+  ~RecordSink() = default;
+};
+
+/// Appends owning Records to `log.records`; header() copies the header
+/// into `log`. A record lands in `records` before its blocks, so a parse
+/// that throws mid-record leaves the rows parsed so far attached to it.
+class MaterializeSink : public RecordSink {
+ public:
+  explicit MaterializeSink(HostLog& log) : log_(log) {}
+
+  void header(const HostLog& log) override;
+  void record(const RecordView& r) override;
+  void block(const RawBlockView& b) override;
+
+ private:
+  HostLog& log_;
+  // Records in one log share a shape, so the previous record's block
+  // count is a near-exact reserve hint for the next.
+  std::size_t block_hint_ = 0;
 };
 
 namespace detail {

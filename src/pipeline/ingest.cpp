@@ -96,11 +96,11 @@ constexpr std::string_view kMetricPrefix = "taccstats";
 constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
 /// One host's way into the store, shared by the archive and text loads.
-/// It is a RecordViewParser sink: record() once per record, then block()
-/// once per data row of that record. Points are staged per series and put
-/// with one Store::put at the first record boundary after batch_points
-/// are staged; flush() puts the rest.
-struct HostSink {
+/// It is a record sink (RecordViewParser, RawArchive::replay): record()
+/// once per record, then block() once per data row of that record. Points
+/// are staged per series and put with one Store::put at the first record
+/// boundary after batch_points are staged; flush() puts the rest.
+struct HostSink final : collect::RecordSink {
   HostSink(tsdb::Store& s, std::string_view h, std::size_t batch,
            PipelineMetrics* m)
       : store(s), host(h), batch_points(batch), metrics(m) {}
@@ -136,19 +136,23 @@ struct HostSink {
   std::unordered_map<std::string, std::vector<std::uint32_t>> index;
   std::size_t staged_points = 0;
   std::size_t points = 0;    // put into the store so far
+  std::size_t records = 0;   // records seen
   std::uint64_t put_ns = 0;  // time in Store calls (only with metrics)
   std::string key;           // reused lookup scratch
   util::SimTime time = 0;    // the current record's timestamp
 
-  void record(const collect::RecordView& r) {
+  void record(const collect::RecordView& r) override {
     if (staged_points >= batch_points) flush();
     time = r.time;
+    ++records;
   }
 
-  /// Stages every (event, value) of one data block. `values` beyond the
-  /// schema arity are ignored; missing trailing values stage nothing (so a
-  /// series is only ever created by an actual point).
-  void block(const collect::RawBlockView& b) {
+  /// Stages every (event, value) of one data block. A block whose type has
+  /// no schema (archived without a header that names it) is skipped.
+  /// `values` beyond the schema arity are ignored; missing trailing values
+  /// stage nothing (so a series is only ever created by an actual point).
+  void block(const collect::RawBlockView& b) override {
+    if (b.schema == nullptr) return;
     const collect::Schema& schema = *b.schema;
     const std::size_t n = std::min(b.values.size(), schema.size());
     if (n == 0) return;
@@ -213,27 +217,6 @@ struct HostSink {
   }
 };
 
-/// Feeds one archived log into `sink` as RecordViewParser feeds text, then
-/// flushes it. Blocks whose type has no schema are skipped.
-void feed_log(const collect::HostLog& log, HostSink& sink) {
-  // One-entry schema memo: a record's blocks run through devices of the
-  // same type back to back, so the schema scan runs about once per type.
-  std::string_view memo_type;
-  const collect::Schema* memo_schema = nullptr;
-  for (const auto& rec : log.records) {
-    sink.record({rec.time, rec.jobids, rec.mark});
-    for (const auto& block : rec.blocks) {
-      if (memo_schema == nullptr || block.type != memo_type) {
-        memo_schema = log.schema_for(block.type);
-        memo_type = block.type;
-      }
-      if (memo_schema == nullptr) continue;
-      sink.block({block.type, block.device, memo_schema, block.values});
-    }
-  }
-  sink.flush();
-}
-
 }  // namespace
 
 TsdbIngestStats ingest_archive_tsdb(tsdb::Store& store,
@@ -245,15 +228,15 @@ TsdbIngestStats ingest_archive_tsdb(tsdb::Store& store,
   std::atomic<std::size_t> total_series{0};
   std::atomic<std::size_t> total_points{0};
 
-  const auto load_log = [&](const collect::HostLog& log,
-                            const std::string& host) {
+  const auto load = [&](const std::string& host) {
     util::WallTimer host_timer;
     HostSink sink(store, host, options.batch_points, metrics);
-    feed_log(log, sink);
+    archive.replay(host, sink);
+    sink.flush();
     total_points.fetch_add(sink.points, std::memory_order_relaxed);
     total_series.fetch_add(sink.slots.size(), std::memory_order_relaxed);
     if (metrics != nullptr) {
-      metrics->add_records(log.records.size());
+      metrics->add_records(sink.records);
       metrics->add_points(sink.points);
       const auto total_ns = static_cast<std::uint64_t>(host_timer.elapsed_ns());
       metrics->add_build_time_ns(total_ns > sink.put_ns ? total_ns - sink.put_ns
@@ -261,20 +244,13 @@ TsdbIngestStats ingest_archive_tsdb(tsdb::Store& store,
     }
   };
 
+  // Each host replays under its own archive lock, so pool workers read
+  // different hosts side by side.
   if (pool != nullptr && hosts.size() > 1) {
-    // Parallel: each worker takes a snapshot copy, so no archive lock is
-    // held while it puts.
-    pool->parallel_for(hosts.size(), [&](std::size_t hi) {
-      load_log(archive.log(hosts[hi]), hosts[hi]);
-    });
+    pool->parallel_for(hosts.size(),
+                       [&](std::size_t hi) { load(hosts[hi]); });
   } else {
-    // Serial: read each host's log in place under the archive lock (no
-    // deep copy).
-    for (const auto& host : hosts) {
-      archive.visit_log(host, [&](const collect::HostLog& log) {
-        load_log(log, host);
-      });
-    }
+    for (const auto& host : hosts) load(host);
   }
   if (options.seal) store.seal_all();
 

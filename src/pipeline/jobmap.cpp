@@ -5,23 +5,20 @@
 namespace tacc::pipeline {
 namespace {
 
-collect::HostLog slice_log(const collect::HostLog& log, long jobid) {
-  collect::HostLog slice;
-  slice.hostname = log.hostname;
-  slice.arch = log.arch;
-  slice.schemas = log.schemas;
-  for (const auto& record : log.records) {
-    if (std::find(record.jobids.begin(), record.jobids.end(), jobid) !=
-        record.jobids.end()) {
-      slice.records.push_back(record);
-    }
+/// Materializes a host's header and only the records tagged with one job.
+class JobSink final : public collect::MaterializeSink {
+ public:
+  JobSink(collect::HostLog& slice, long jobid)
+      : MaterializeSink(slice), jobid_(jobid) {}
+
+  bool keep(const collect::RecordView& r) override {
+    return std::find(r.jobids.begin(), r.jobids.end(), jobid_) !=
+           r.jobids.end();
   }
-  std::sort(slice.records.begin(), slice.records.end(),
-            [](const collect::Record& a, const collect::Record& b) {
-              return a.time < b.time;
-            });
-  return slice;
-}
+
+ private:
+  long jobid_;
+};
 
 }  // namespace
 
@@ -30,12 +27,15 @@ JobData extract_job(const transport::RawArchive& archive,
   JobData data;
   data.acct = acct;
   for (const auto& hostname : acct.hostnames) {
-    // Runs under the archive lock: slice_log must not call back into the
-    // archive.
-    archive.visit_log(hostname, [&](const collect::HostLog& log) {
-      auto slice = slice_log(log, acct.jobid);
-      if (!slice.records.empty()) data.hosts.push_back(std::move(slice));
-    });
+    collect::HostLog slice;
+    JobSink sink(slice, acct.jobid);
+    archive.replay(hostname, sink);
+    if (slice.records.empty()) continue;
+    std::sort(slice.records.begin(), slice.records.end(),
+              [](const collect::Record& a, const collect::Record& b) {
+                return a.time < b.time;
+              });
+    data.hosts.push_back(std::move(slice));
   }
   return data;
 }

@@ -23,10 +23,11 @@ struct JobData {
 /// Extracts a job's records from the central archive using the accounting
 /// record's host list, in accounting order. Hosts with no matching records
 /// are omitted (e.g. a crashed node whose cron-mode data was lost), as are
-/// hosts the archive does not know. Reads one host's log at a time in
-/// place, under the archive's lock (RawArchive::visit_log), and copies only
-/// the job's records: a concurrent daemon-mode writer waits for one host's
-/// scan, not for a copy of that host's whole log.
+/// hosts the archive does not know. Replays one host at a time
+/// (RawArchive::replay) with a sink that skips the records of other jobs
+/// without reading their blocks and builds only the job's: a concurrent
+/// daemon-mode writer to that host waits for one host's replay, not for a
+/// copy of the host's whole log.
 JobData extract_job(const transport::RawArchive& archive,
                     const workload::AccountingRecord& acct);
 

@@ -133,18 +133,18 @@ struct StoreOptions {
   /// Directory for durable state (segments, WALs, MANIFEST); created if
   /// missing. Empty = in-memory store: no files, no WAL, no tiers, and
   /// flush()/compact()/close() are no-ops.
-  std::string data_dir;
+  std::string data_dir{};
   /// When WAL appends are fsync'd (durable stores only). See tsdb::WalSync.
   WalSync wal_sync = WalSync::OnFlush;
   /// Retention by metric family: longest matching key that is a prefix of
   /// the metric name wins; unmatched metrics are kept forever. Applied at
   /// compaction time only.
-  std::map<std::string, RetentionPolicy> retention;
+  std::map<std::string, RetentionPolicy> retention{};
   /// Fault plan driving the persistence crash sites (util::kFaultWalAppend,
   /// kFaultWalSync, kFaultBlockFileWrite, kFaultCompactCommit). An injected
   /// error leaves a deterministic torn prefix on disk and throws
   /// InjectedCrash; the store must then be abandoned and reopened.
-  std::shared_ptr<const util::FaultPlan> faults;
+  std::shared_ptr<const util::FaultPlan> faults{};
 };
 
 /// Storage accounting across both tiers, for the bytes/point benchmarks.

@@ -3,8 +3,8 @@
 // at different times and with different loss behavior — so job metrics
 // computed from either archive must agree exactly. Also: spooling an
 // archive to disk and re-ingesting it must be metric-preserving, and
-// extracting a job from the archive in place must match extracting it from
-// snapshots of the host logs.
+// extracting a job through the archive's filtering replay must match
+// extracting it from snapshots of the host logs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -119,7 +119,7 @@ TEST(TransportEquivalence, SpoolRoundTripPreservesMetrics) {
   std::filesystem::remove_all(root);
 }
 
-// extract_job reads each host's log in place in the archive; each host it
+// extract_job replays each host keeping only the job's records; each host it
 // returns must carry the header of a snapshot of that log (archive.log)
 // and only the job's records, in time order, with the hosts in accounting
 // order. The archive has a node shared by two jobs, out-of-order appends,
