@@ -40,7 +40,8 @@ std::string job_list_view(const db::Table& jobs,
   if (limit != 0 && rows.size() > limit) {
     out += " (showing first " + std::to_string(limit) + ")";
   }
-  out += "\n" + t.render();
+  out += '\n';
+  out += t.render();
   return out;
 }
 

@@ -908,73 +908,64 @@ void Store::process_series(const Query& q, Partial& p) {
   }
 
   // Are the sources (blocks in seal order, then the head) already in
-  // global time order? In the common monotonic-ingest case they are, and
-  // the series can be streamed source by source with summary-based block
-  // skipping and rollups. Overlapping sources fall back to decode+merge.
+  // global time order? In the common monotonic-ingest case they are. If
+  // not, every source is merged into the head copy: decoded blocks are
+  // time-sorted runs in append-chunk order, so a stable sort of the
+  // concatenation reproduces the stable sort of the full append sequence —
+  // bit-identical to the never-sealed store.
   bool ordered = true;
-  util::SimTime prev_max = 0;
-  bool have_prev = false;
+  util::SimTime prev_max = std::numeric_limits<util::SimTime>::min();
   for (const auto& b : p.blocks) {
-    if (have_prev && b->t_min() < prev_max) {
-      ordered = false;
-      break;
-    }
+    ordered = ordered && b->t_min() >= prev_max;
     prev_max = b->t_max();
-    have_prev = true;
   }
-  if (ordered && have_prev && !p.head.empty() &&
-      p.head.front().time < prev_max) {
-    ordered = false;
+  if (!p.head.empty()) ordered = ordered && p.head.front().time >= prev_max;
+  if (!ordered) {
+    std::vector<DataPoint> merged;
+    for (const auto& b : p.blocks) b->decode_append(merged);
+    merged.insert(merged.end(), p.head.begin(), p.head.end());
+    std::stable_sort(merged.begin(), merged.end(), time_less);
+    p.head = std::move(merged);
+    p.blocks.clear();
   }
 
-  if (q.rate || !ordered) {
-    // Materializing path: rate needs successive deltas over the whole
-    // merged sequence, and overlapping sources need a merge. Decoded
-    // blocks are time-sorted runs in append-chunk order, so a stable sort
-    // of the concatenation reproduces the stable sort of the full append
-    // sequence — bit-identical to the never-sealed store.
-    std::vector<DataPoint> pts;
-    std::size_t total = p.head.size();
-    for (const auto& b : p.blocks) total += b->count();
-    pts.reserve(total);
-    for (const auto& b : p.blocks) b->decode_append(pts);
-    pts.insert(pts.end(), p.head.begin(), p.head.end());
-    if (!ordered) std::stable_sort(pts.begin(), pts.end(), time_less);
+  // One walk over the sources in time order. The rate stage turns each
+  // point into its per-second delta from the point before it, which is
+  // carried across blocks and across points outside the range: a repeated
+  // timestamp (dt <= 0) yields no point, and a negative delta (a counter
+  // reset or wrap) clamps to 0. The range filter applies after the stage.
+  BucketStager stager(q, p.downsampled);
+  DataPoint prev{};
+  bool have_prev = false;
+  const auto feed = [&](const DataPoint& pt) {
     if (q.rate) {
-      std::vector<DataPoint> rates;
-      rates.reserve(pts.size() > 0 ? pts.size() - 1 : 0);
-      for (std::size_t i = 1; i < pts.size(); ++i) {
-        const double dt = util::to_seconds(pts[i].time - pts[i - 1].time);
-        if (dt <= 0.0) continue;
-        const double delta = pts[i].value - pts[i - 1].value;
-        rates.push_back({pts[i].time, delta > 0.0 ? delta / dt : 0.0});
-      }
-      pts = std::move(rates);
-    }
-    BucketStager stager(q, p.downsampled);
-    for (const auto& pt : pts) {
-      if (!in_range(q, pt.time)) continue;
+      const DataPoint before = std::exchange(prev, pt);
+      if (!std::exchange(have_prev, true)) return;
+      const double dt = util::to_seconds(pt.time - before.time);
+      if (dt <= 0.0 || !in_range(q, pt.time)) return;
+      const double delta = pt.value - before.value;
+      stager.add(pt.time, delta > 0.0 ? delta / dt : 0.0);
+    } else if (in_range(q, pt.time)) {
       stager.add(pt.time, pt.value);
     }
-    stager.flush();
-    return;
-  }
+  };
 
-  // Streaming path: visit sources in time order. A block entirely outside
-  // the query range is skipped on its summary alone; a downsample bucket
-  // covered by whole blocks — with both neighbours clear of it — is
-  // answered from summaries without decoding (the rollup fast path);
-  // everything else streams through a decode cursor.
-  BucketStager stager(q, p.downsampled);
+  // A block past a bounded end is skipped on its summary alone, and so is
+  // one before the start unless a rate needs its last point. A downsample
+  // bucket covered by whole blocks — with both neighbours clear of it — is
+  // answered from summaries without decoding (the rollup fast path), and a
+  // block's tier entries can stand in for its points; both summarize raw
+  // values, so a rate walk decodes instead. Everything else streams
+  // through a decode cursor.
+  const bool fast = !q.rate && q.downsample > 0;
   DataPoint pt;
   for (std::size_t i = 0; i < p.blocks.size(); ++i) {
     const SealedBlock& b = *p.blocks[i];
-    if (!(q.start == 0 && q.end == 0) &&
-        (b.t_max() < q.start || (q.end != 0 && b.t_min() >= q.end))) {
+    if ((q.end != 0 && b.t_min() >= q.end) ||
+        (!q.rate && (q.start != 0 || q.end != 0) && b.t_max() < q.start)) {
       continue;
     }
-    if (q.downsample > 0 && in_range(q, b.t_min()) &&
-        in_range(q, b.t_max()) &&
+    if (fast && in_range(q, b.t_min()) && in_range(q, b.t_max()) &&
         bucket_of(q, b.t_min()) == bucket_of(q, b.t_max())) {
       const util::SimTime bb = bucket_of(q, b.t_min());
       const Aggregator agg = q.downsample_aggregator;
@@ -1020,7 +1011,7 @@ void Store::process_series(const Query& q, Partial& p) {
     // would absorb a join the decode fold would skip, so has_nan tiers
     // fall back to decode (Count is exempt: counts are exact regardless).
     // This is also the only read path for retention ghosts.
-    if (q.downsample > 0 && stager.foldable() && !b.tiers().empty() &&
+    if (fast && stager.foldable() && !b.tiers().empty() &&
         in_range(q, b.t_min()) && in_range(q, b.t_max())) {
       const Aggregator agg = q.downsample_aggregator;
       const TierLevel* best = nullptr;
@@ -1044,15 +1035,9 @@ void Store::process_series(const Query& q, Partial& p) {
       }
     }
     auto c = b.cursor();
-    while (c.next(pt)) {
-      if (!in_range(q, pt.time)) continue;
-      stager.add(pt.time, pt.value);
-    }
+    while (c.next(pt)) feed(pt);
   }
-  for (const auto& hp : p.head) {
-    if (!in_range(q, hp.time)) continue;
-    stager.add(hp.time, hp.value);
-  }
+  for (const auto& hp : p.head) feed(hp);
   stager.flush();
 }
 

@@ -20,15 +20,21 @@
 // into an immutable Gorilla-compressed SealedBlock (~1-4 bytes/point on
 // counter data vs 16 bytes raw) carrying a (t_min, t_max, count, sum, min,
 // max) summary. Queries snapshot the block pointers plus the bounded head
-// under the shard lock, then stream outside it: blocks wholly outside the
-// time range are skipped by summary, and a block lying wholly inside one
-// downsample bucket is answered from its summary without decoding (the
+// under the shard lock, then make one walk outside it over each series'
+// sources, blocks in seal order and then the head: blocks wholly outside
+// the time range are skipped by summary, and a block lying wholly inside
+// one downsample bucket is answered from its summary without decoding (the
 // rollup fast path). For Min/Max/Count the summary joins the bucket's
 // running fold — exactly, by associativity — so summaries mix freely with
 // neighbouring blocks and head points in the same bucket; for Sum/Avg,
 // whose float folds are order-dependent, the summary is used only when it
 // covers the bucket exclusively. Everything else goes through a streaming
-// decode cursor.
+// decode cursor. rate() is a stage of the walk (each point becomes its
+// per-second delta from the one before, carried across blocks), so a rate
+// walk decodes every block that does not start past the range and takes no
+// summary or tier fast path. A series whose sources overlap in time is
+// first merged into its head copy (decoded and stable-sorted with it), and
+// the same walk serves it.
 //
 // Thread-safety contract:
 //   * series(), put() (every overload), put_batch(), seal_all(), query(),
@@ -79,9 +85,11 @@ enum class Aggregator { Sum, Avg, Min, Max, Count };
 struct Query {
   std::string metric;
   /// Convert each matched series from cumulative counts to per-second
-  /// rates (successive-point deltas / dt) before downsampling — OpenTSDB's
-  /// rate() for the monotonic counters this system stores. Negative deltas
-  /// clamp to 0, so a counter reset or wrap reads as a zero-rate interval.
+  /// rates (successive-point deltas / dt) before range filtering and
+  /// downsampling — OpenTSDB's rate() for the monotonic counters this
+  /// system stores. A point with no later time than the one before it
+  /// yields no rate. Negative deltas clamp to 0, so a counter reset or wrap
+  /// reads as a zero-rate interval.
   /// This is the one counter-delta rule left beside pipeline::HostExtract's,
   /// which Table I and the online analyzer share: a series does not carry
   /// its counter's width, so the store cannot correct a wrap.
@@ -472,7 +480,9 @@ class Store {
                std::size_t last,
                std::span<const std::shared_ptr<const SealedBlock>> blocks,
                std::uint64_t cum_sealed) TACC_REQUIRES(shard.mu);
-  /// Computes one matched series' downsampled buckets from its snapshot.
+  /// Walks one matched series' snapshot, blocks then head, through the
+  /// rate stage (rate queries), the range filter and the downsample
+  /// buckets; overlapping sources are first merged into the head copy.
   static void process_series(const Query& q, Partial& p);
   std::vector<SeriesResult> query_impl(const Query& q,
                                        util::ThreadPool* pool) const;

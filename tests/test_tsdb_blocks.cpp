@@ -2,14 +2,17 @@
 // compressed-vs-uncompressed equivalence guarantee (same stored points =>
 // byte-identical query() results across block sizes, including
 // block_points = 1 and "never sealed"), rollup-vs-decode equivalence for
-// every aggregator, rate semantics across seal boundaries, and query edge
-// cases over sealed data.
+// every aggregator, rate semantics across seal boundaries, query edge
+// cases over sealed data, and golden digests of the exact query bytes.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "tsdb/block.hpp"
@@ -480,6 +483,168 @@ TEST(TsdbBlocks, StorageStatsTrackTiers) {
   EXPECT_EQ(st.sealed_points, 1000u);
   EXPECT_EQ(st.sealed_blocks, 8u);
   EXPECT_EQ(s.num_points(), 1000u);
+}
+
+// ---- Golden query bytes ------------------------------------------------
+//
+// The equivalence tests above compare stores of one build with each other,
+// so a change to the query walk that moves every layout alike would pass
+// them. These digests pin the exact bytes (time and the double's bit
+// pattern) of a query matrix to the values the previous query walk
+// produced, for a never-sealed, a sealed in-memory and a flushed durable
+// (tiered) store.
+
+/// The golden data, replayed into every store in this order:
+///  * c{host=a}: an ordered counter with a reset, a repeated timestamp
+///    inside a block and one across a seal boundary (16-point blocks
+///    split it into 9 blocks and an 8-point head);
+///  * c{host=b}: a counter written out of order, so its sealed blocks
+///    overlap, then rewritten at every tenth minute with lower values:
+///    repeated timestamps whose order only a stable merge keeps;
+///  * g{host=a}, g{host=b}: gauges, including negative values.
+std::vector<Append> golden_appends() {
+  std::vector<Append> out;
+  Append a{"c", {{"host", "a"}}, {}};
+  double v = 1.0e6;
+  for (int i = 0; i < 150; ++i) {
+    v = i == 70 ? 42.0 : v + 1000.0 + (i % 7) * 13.5;
+    const util::SimTime t = kT0 + i * util::kMinute;
+    a.points.push_back({t, v});
+    // Append positions 41 (inside block 2) and 96 (first of block 6).
+    if (i == 40 || i == 94) a.points.push_back({t, v + 500.0});
+  }
+  out.push_back(std::move(a));
+
+  Append b{"c", {{"host", "b"}}, {}};
+  for (int k = 0; k < 120; ++k) {
+    const int m = (k * 37) % 120;
+    b.points.push_back(
+        {kT0 + 30 * util::kSecond + m * util::kMinute, 5000.0 + m * 777.0});
+  }
+  for (int m = 0; m < 120; m += 10) {
+    b.points.push_back({kT0 + 30 * util::kSecond + m * util::kMinute, 1.0 + m});
+  }
+  out.push_back(std::move(b));
+
+  for (int h = 0; h < 2; ++h) {
+    Append g{"g", {{"host", h == 0 ? "a" : "b"}}, {}};
+    for (int i = 0; i < 130; ++i) {
+      const util::SimTime t =
+          kT0 + 15 * util::kSecond + i * (h + 1) * util::kMinute;
+      g.points.push_back({t, ((i * 7919) % 101) - 50.5 + i * 0.25});
+    }
+    out.push_back(std::move(g));
+  }
+  return out;
+}
+
+/// Every query of the matrix, rendered exactly: one header line per query,
+/// then per group its tags and one "time bits" line per point.
+std::string render_golden(const Store& s) {
+  struct Range {
+    util::SimTime start, end;
+  };
+  const Range ranges[] = {
+      {0, 0},                                                // unbounded
+      {kT0 + 21 * util::kMinute, kT0 + 100 * util::kMinute},  // mid-block
+      {kT0 - util::kHour, kT0 + 50 * util::kMinute},  // before the first
+      // c{host=a}'s blocks 3 to 6 exactly (append positions 48 to 111).
+      {kT0 + 47 * util::kMinute, kT0 + 110 * util::kMinute},
+  };
+  std::string out;
+  char buf[64];
+  for (const char* metric : {"c", "g"}) {
+    for (const bool rate : {false, true}) {
+      for (const util::SimTime ds :
+           {util::SimTime{0}, 7 * util::kMinute, 10 * util::kMinute,
+            util::kHour}) {
+        for (const auto agg : {Aggregator::Sum, Aggregator::Avg,
+                               Aggregator::Min, Aggregator::Max,
+                               Aggregator::Count}) {
+          for (const bool grouped : {false, true}) {
+            for (const Range& r : ranges) {
+              Query q;
+              q.metric = metric;
+              q.rate = rate;
+              q.downsample = ds;
+              q.downsample_aggregator = agg;
+              if (grouped) q.group_by = {"host"};
+              q.start = r.start;
+              q.end = r.end;
+              std::snprintf(buf, sizeof buf, "%s %d %lld %d %d %lld %lld\n",
+                            metric, rate, static_cast<long long>(ds),
+                            static_cast<int>(agg), grouped,
+                            static_cast<long long>(r.start),
+                            static_cast<long long>(r.end));
+              out += buf;
+              for (const auto& series : s.query(q)) {
+                for (const auto& [k, tv] : series.group_tags) {
+                  out += k + "=" + tv + "\n";
+                }
+                for (const auto& p : series.points) {
+                  std::snprintf(
+                      buf, sizeof buf, "%lld %016llx\n",
+                      static_cast<long long>(p.time),
+                      static_cast<unsigned long long>(
+                          std::bit_cast<std::uint64_t>(p.value)));
+                  out += buf;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// Taken from the previous query walk, three runs, every store alike.
+constexpr const char* kGoldenDigest = "bbcece529475eaec";
+
+std::string golden_digest(const Store& s) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(util::fnv1a(render_golden(s))));
+  return buf;
+}
+
+void put_golden(Store& s) {
+  for (const auto& a : golden_appends()) {
+    s.put_batch(a.metric, a.tags, a.points);
+  }
+}
+
+TEST(TsdbQueryGolden, NeverSealedStore) {
+  Store s(never_sealed_opts());
+  put_golden(s);
+  ASSERT_EQ(s.storage_stats().sealed_blocks, 0u);
+  EXPECT_EQ(golden_digest(s), kGoldenDigest);
+}
+
+TEST(TsdbQueryGolden, SealedInMemoryStore) {
+  StoreOptions o;
+  o.block_points = 16;
+  Store s(o);
+  put_golden(s);
+  ASSERT_EQ(s.storage_stats().head_points, 8u + 4u + 2u + 2u);
+  EXPECT_EQ(golden_digest(s), kGoldenDigest);
+}
+
+TEST(TsdbQueryGolden, FlushedDurableStore) {
+  const auto dir =
+      std::filesystem::path(::testing::TempDir()) / "tsdb_query_golden";
+  std::filesystem::remove_all(dir);
+  StoreOptions o;
+  o.data_dir = dir.string();
+  o.block_points = 16;
+  Store s(o);
+  put_golden(s);
+  s.flush();
+  ASSERT_GT(s.disk_stats().tier_bytes, 0u);
+  EXPECT_EQ(golden_digest(s), kGoldenDigest);
+  s.close();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // Durable tiered block storage: flush/reopen and WAL-replay byte-identity,
 // downsample-tier query equivalence, compaction equivalence, retention
-// ghosts, close() semantics, disk accounting, the background compactor,
-// WAL format 2 (inline definitions, resharded replay, refusal of another
-// version), and the golden-file format pins (writer reproduces the
-// committed fixtures byte for byte; reader decodes them exactly). The crash matrix
-// lives in test_tsdb_recovery.cpp; corruption fuzzing in
-// test_fuzz_properties.cpp.
+// ghosts, close() semantics, disk accounting, WAL format 2 (inline
+// definitions, resharded replay, refusal of another version), and the
+// golden-file format pins (writer reproduces the committed fixtures byte
+// for byte; reader decodes them exactly). The crash matrix lives in
+// test_tsdb_recovery.cpp; corruption fuzzing in test_fuzz_properties.cpp.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "tsdb/blockfile.hpp"
-#include "tsdb/compactor.hpp"
 #include "tsdb/store.hpp"
 #include "tsdb/wal.hpp"
 #include "util/rng.hpp"
@@ -625,30 +623,6 @@ TEST(TsdbPersist, DiskStatsAccountForLiveFiles) {
   EXPECT_LT(static_cast<double>(ds.primary_bytes()) /
                 static_cast<double>(ds.persisted_points),
             8.0);
-}
-
-TEST(TsdbPersist, BackgroundCompactorPersistsWithoutChangingResults) {
-  const std::string dir = fresh_dir("persist_compactor");
-  Store mem;
-  load_sample(mem);
-  StoreOptions o = durable_options(dir);
-  o.block_points = 32;
-  Store s(o);
-  {
-    Compactor c(s, {.period = std::chrono::milliseconds(1),
-                    .compact_every = 2});
-    load_sample(s);
-    s.seal_all();
-    c.run_once(/*with_compact=*/true);  // deterministic cycle on top
-    EXPECT_GE(c.cycles(), 1u);
-    EXPECT_EQ(c.errors(), 0u);
-    c.stop();
-  }
-  expect_same_results(s, mem);
-  EXPECT_GE(s.disk_stats().segment_files, 1u);
-  s.close();
-  Store r = Store::open(dir);
-  expect_same_results(r, mem);
 }
 
 // ---- Golden-file format pins -------------------------------------------

@@ -27,7 +27,9 @@ Enforces the correctness invariants no off-the-shelf tool knows about
   TS020  tuning knob (field of tsdb::StoreOptions or
          pipeline::TsdbIngestOptions) not documented in
          docs/ARCHITECTURE.md — operators tune from the docs, so an
-         undocumented knob is effectively unshipped.
+         undocumented knob is effectively unshipped. Also a stale
+         KNOB_STRUCTS row: its header is gone or no longer declares the
+         struct, so neither this check nor TS040 would look at it again.
   TS030  tests/test_*.cpp not registered in tests/CMakeLists.txt — the
          test builds nowhere and rots.
   TS040  documentation drift: a relative markdown link in README.md or
@@ -65,13 +67,14 @@ CHECKS = {
     "TS003": "concurrency allowlist entry matches no declaration",
     "TS010": "collector not registered in registry.cpp",
     "TS011": "fault site name not declared anywhere in src/",
-    "TS020": "options knob not documented in docs/ARCHITECTURE.md",
+    "TS020": "options knob undocumented, or stale KNOB_STRUCTS row",
     "TS030": "test file not registered in tests/CMakeLists.txt",
     "TS040": "doc drift: dead relative link or unresolved knob reference",
     "TS050": "on-disk format region changed without a version bump",
 }
 
 ALLOWLIST_PATH = Path("tools/lint/concurrency_allowlist.txt")
+LINTER_PATH = Path("tools/lint/lint_repo.py")
 FINGERPRINT_PATH = Path("tools/lint/format_fingerprint.txt")
 
 # Declarations of raw primitives: a type token followed by an identifier
@@ -233,7 +236,6 @@ class Linter:
     KNOB_STRUCTS = (
         ("src/tsdb/store.hpp", "StoreOptions"),
         ("src/tsdb/store.hpp", "RetentionPolicy"),
-        ("src/tsdb/compactor.hpp", "CompactorOptions"),
         ("src/pipeline/ingest.hpp", "TsdbIngestOptions"),
         ("src/util/fault.hpp", "FaultSpec"),
         ("src/transport/daemon.hpp", "RetryPolicy"),
@@ -244,11 +246,12 @@ class Linter:
     )
 
     @staticmethod
-    def struct_fields(text: str, struct: str) -> list[tuple[int, str]]:
-        """Field names of `struct <name> { ... };` with their line numbers."""
+    def struct_fields(text: str, struct: str) -> list[tuple[int, str]] | None:
+        """Field names of `struct <name> { ... };` with their line numbers,
+        or None if `text` does not declare the struct."""
         m = re.search(r"struct\s+" + struct + r"\s*\{", text)
         if not m:
-            return []
+            return None
         start = m.end()
         depth = 1
         end = start
@@ -266,14 +269,36 @@ class Linter:
                 fields.append((base_line + i, fm.group(1)))
         return fields
 
+    def knob_structs(self):
+        """(header, struct, its fields or None) for every KNOB_STRUCTS row;
+        None when the header is gone or does not declare the struct."""
+        for rel_path, struct in self.KNOB_STRUCTS:
+            path = self.root / rel_path
+            text = path.read_text() if path.is_file() else ""
+            yield rel_path, struct, self.struct_fields(text, struct)
+
+    @staticmethod
+    def knob_row_line(rel_path: str, struct: str) -> int:
+        """Line of a KNOB_STRUCTS row in this file (1 if not found)."""
+        row = f'("{rel_path}", "{struct}")'
+        lines = Path(__file__).read_text().splitlines()
+        return next((n for n, line in enumerate(lines, 1) if row in line), 1)
+
     def check_knobs(self) -> None:
         docs = self.root / "docs" / "ARCHITECTURE.md"
         docs_text = docs.read_text() if docs.is_file() else ""
-        for rel_path, struct in self.KNOB_STRUCTS:
-            path = self.root / rel_path
-            if not path.is_file():
+        for rel_path, struct, fields in self.knob_structs():
+            if fields is None:
+                what = "does not declare it" if \
+                    (self.root / rel_path).is_file() else "does not exist"
+                self.report(
+                    LINTER_PATH, self.knob_row_line(rel_path, struct),
+                    "TS020",
+                    f"KNOB_STRUCTS row '{struct}': {rel_path} {what} — "
+                    "point the row at the struct's header or delete it",
+                )
                 continue
-            for lineno, field in self.struct_fields(path.read_text(), struct):
+            for lineno, field in fields:
                 if field not in docs_text:
                     self.report(
                         Path(rel_path), lineno, "TS020",
@@ -300,15 +325,12 @@ class Linter:
         return docs
 
     def knob_fields(self) -> dict[str, set[str]]:
-        """struct name -> its field names, for every KNOB_STRUCTS entry."""
+        """struct name -> its field names, for every KNOB_STRUCTS entry (none
+        for a stale row, so every doc reference to it is drift)."""
         fields: dict[str, set[str]] = {}
-        for rel_path, struct in self.KNOB_STRUCTS:
-            path = self.root / rel_path
-            if not path.is_file():
-                continue
+        for _, struct, found in self.knob_structs():
             fields.setdefault(struct, set()).update(
-                name for _, name in self.struct_fields(path.read_text(), struct)
-            )
+                name for _, name in found or [])
         return fields
 
     def check_docs(self) -> None:

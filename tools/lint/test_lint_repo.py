@@ -15,6 +15,7 @@ import sys
 import tempfile
 import unittest
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import lint_repo  # noqa: E402
@@ -41,9 +42,19 @@ class FixtureTree:
 
 
 class LintRepoTest(unittest.TestCase):
+    STORE_ROW = ("src/tsdb/store.hpp", "StoreOptions")
+
     def setUp(self):
         self._tmp = tempfile.TemporaryDirectory()
         self.tree = FixtureTree(Path(self._tmp.name))
+        # A fixture tree holds none of the repo's knob headers, so every
+        # real KNOB_STRUCTS row would be stale here: tests name their own.
+        self.knob_rows()
+
+    def knob_rows(self, *rows):
+        patcher = mock.patch.object(lint_repo.Linter, "KNOB_STRUCTS", rows)
+        patcher.start()
+        self.addCleanup(patcher.stop)
 
     def tearDown(self):
         self._tmp.cleanup()
@@ -264,6 +275,7 @@ class LintRepoTest(unittest.TestCase):
 
     # -- TS020 --------------------------------------------------------------
     def test_undocumented_knob_flagged(self):
+        self.knob_rows(self.STORE_ROW)
         self.tree.write(
             "src/tsdb/store.hpp",
             "struct StoreOptions {\n"
@@ -279,6 +291,7 @@ class LintRepoTest(unittest.TestCase):
         self.assertNotIn("shards", out.replace("mystery_knob", ""))
 
     def test_documented_knobs_pass(self):
+        self.knob_rows(self.STORE_ROW)
         self.tree.write(
             "src/tsdb/store.hpp",
             "struct StoreOptions {\n  std::size_t shards = 16;\n};\n",
@@ -286,6 +299,40 @@ class LintRepoTest(unittest.TestCase):
         self.tree.write("docs/ARCHITECTURE.md", "| `StoreOptions::shards` |\n")
         code, out = run_linter(self.tree.root)
         self.assertEqual(code, 0, out)
+
+    def test_stale_knob_rows_flagged(self):
+        self.knob_rows(self.STORE_ROW,
+                       ("src/tsdb/gone.hpp", "GoneOptions"),
+                       ("src/tsdb/store.hpp", "MovedOptions"))
+        self.tree.write(
+            "src/tsdb/store.hpp",
+            "struct StoreOptions {\n  std::size_t shards = 16;\n};\n",
+        )
+        self.tree.write(
+            "docs/ARCHITECTURE.md",
+            "| `StoreOptions::shards` |\n| `GoneOptions::period` |\n",
+        )
+        code, out = run_linter(self.tree.root)
+        self.assertEqual(code, 1, out)
+        self.assertIn("TS020", out)
+        self.assertIn("'GoneOptions': src/tsdb/gone.hpp does not exist", out)
+        self.assertIn(
+            "'MovedOptions': src/tsdb/store.hpp does not declare it", out)
+        # The docs' references to a stale row's struct are drift too.
+        self.assertIn("TS040", out)
+        self.assertIn("'GoneOptions::period'", out)
+        self.assertIn("3 violation(s)", out)
+
+    def test_stale_knob_row_points_at_its_line(self):
+        row = '("src/tsdb/store.hpp", "StoreOptions")'
+        real = next(
+            n for n, line in enumerate(
+                Path(lint_repo.__file__).read_text().splitlines(), 1)
+            if row in line)
+        self.knob_rows(self.STORE_ROW)  # the fixture has no store.hpp
+        code, out = run_linter(self.tree.root)
+        self.assertEqual(code, 1, out)
+        self.assertIn(f"tools/lint/lint_repo.py:{real}:", out)
 
     # -- TS050 --------------------------------------------------------------
     FORMAT_HPP = (
@@ -410,6 +457,7 @@ class LintRepoTest(unittest.TestCase):
         self.assertIn("README.md:1", out)
 
     def test_stale_knob_reference_flagged(self):
+        self.knob_rows(self.STORE_ROW)
         self.tree.write(
             "src/tsdb/store.hpp",
             "struct StoreOptions {\n  std::size_t shards = 16;\n};\n",
