@@ -4,7 +4,8 @@
 //
 // Phase 1 — root ingest throughput. The same synthetic workload (header-
 // heavy host logs: the header is ~20x the record, as on real nodes with
-// dozens of schemas) is staged once into a flat root queue and once through
+// dozens of schemas), each record published the way a daemon publishes it,
+// as a frame of one, is staged once into a flat root queue and once through
 // a tree whose aggregators coalesce each host's records behind a single
 // header copy. The consumer's drain of the root is timed in isolation both
 // ways. The tree wins on two axes: the root sees ~records/batch fewer
@@ -98,7 +99,8 @@ std::string host_name(std::size_t i) {
 }
 
 /// Pre-serialized per-host bodies for one workload: bodies[h][r] is the
-/// header + one record, ready to publish.
+/// daemon's message for record r, a frame of one (header + one record
+/// under seq r + 1), ready to publish.
 struct Workload {
   std::vector<std::string> hosts;
   std::vector<std::vector<std::string>> bodies;
@@ -122,8 +124,11 @@ Workload make_workload(std::size_t nodes, std::size_t records) {
       // 3-minute cadence keeps a host's records inside one 1h window.
       const auto t = kStart + static_cast<util::SimTime>(r) * 3 * util::kMinute;
       w.bodies[h].push_back(
-          header +
-          collect::HostLog::serialize_record(make_record(h, r + 1, t)));
+          transport::AggFrame{
+              w.hosts[h], {r + 1}, {0}, header.size(),
+              header + collect::HostLog::serialize_record(
+                           make_record(h, r + 1, t))}
+              .serialize());
       w.times[h].push_back(t);
       w.bytes += w.bodies[h].back().size();
       ++w.total_records;
@@ -328,7 +333,8 @@ void report_phase2(bench::BenchJson& json) {
                                plan);
 
   // Precompute shard assignment and headers once; the publish loop below
-  // simulates the daemon fleet (with the daemon's retry-on-drop behavior).
+  // simulates the daemon fleet: frames of one, with the daemon's
+  // retry-on-drop behavior.
   std::vector<transport::Broker*> leaf(nodes);
   std::vector<std::string> headers(nodes);
   std::vector<std::string> keys(nodes);
@@ -346,8 +352,11 @@ void report_phase2(bench::BenchJson& json) {
     const auto t = kStart + static_cast<util::SimTime>(w) * util::kHour;
     for (std::size_t h = 0; h < nodes; ++h) {
       const std::string body =
-          headers[h] +
-          collect::HostLog::serialize_record(make_record(h, w + 1, t));
+          transport::AggFrame{
+              hosts[h], {w + 1}, {0}, headers[h].size(),
+              headers[h] + collect::HostLog::serialize_record(
+                               make_record(h, w + 1, t))}
+              .serialize();
       for (std::uint32_t attempt = 0; attempt < 10; ++attempt) {
         transport::PublishInfo info;
         info.producer = hosts[h];

@@ -7,12 +7,18 @@
 #include <string_view>
 #include <utility>
 
-#include "collect/rawfile.hpp"
 #include "transport/frame.hpp"
 #include "util/log.hpp"
-#include "util/strings.hpp"
 
 namespace tacc::transport {
+namespace {
+
+/// The header bytes a frame's header_len marks off.
+std::string_view header_of(const AggFrame& f) {
+  return std::string_view(f.payload).substr(0, f.header_len);
+}
+
+}  // namespace
 
 Aggregator::Aggregator(std::string name, std::vector<Broker*> children,
                        Broker& parent, std::string queue,
@@ -48,20 +54,6 @@ AggregatorStats Aggregator::stats() const {
   return s;
 }
 
-std::size_t Aggregator::header_len_of(const std::string& host,
-                                      const std::string& body) {
-  const auto it = header_cache_.find(host);
-  if (it != header_cache_.end() && util::starts_with(body, it->second)) {
-    return it->second.size();
-  }
-  // First sight of this host (or its schemas changed): one real header
-  // parse, then every later chunk is a prefix memcmp.
-  collect::HostLog probe;
-  const std::size_t off = probe.parse_header(body);
-  header_cache_[host] = body.substr(0, off);
-  return off;
-}
-
 void Aggregator::run() {
   using namespace std::chrono_literals;
   // Reclaim whatever a crashed predecessor left unacked before the first
@@ -84,7 +76,7 @@ void Aggregator::run() {
         auto msg = children_[c]->consume(queue_, 0ms);
         if (!msg) break;
         any = true;
-        ingest(c, std::move(*msg));
+        ingest(c, *msg);
         if (parent_->queue_paused(queue_)) break;
       }
     }
@@ -103,7 +95,7 @@ void Aggregator::run() {
       auto msg = children_[rr]->consume(queue_, 2ms);
       if (msg) {
         idle_sweeps_.store(0);
-        ingest(rr, std::move(*msg));
+        ingest(rr, *msg);
         continue;
       }
     }
@@ -111,18 +103,16 @@ void Aggregator::run() {
   }
 }
 
-void Aggregator::ingest(std::size_t child, Message msg) {
+void Aggregator::ingest(std::size_t child, Message& msg) {
   {
     util::MutexLock lock(mu_);
     ++stats_.consumed;
   }
-  // Every message becomes one host's frame: a lower tier's frame as it
-  // is, a daemon chunk as a frame of one record under its (producer, seq).
-  const bool is_frame = AggFrame::is_frame(msg.body);
+  // Every message is one host's frame: a daemon's frame of one record or
+  // a lower tier's coalesced frame.
   AggFrame f;
   try {
     f = AggFrame::of_message(msg);
-    if (!is_frame) f.header_len = header_len_of(f.producer, f.payload);
   } catch (const std::exception& e) {
     {
       util::MutexLock lock(mu_);
@@ -132,29 +122,17 @@ void Aggregator::ingest(std::size_t child, Message msg) {
     TS_LOG(Warn, "aggregator") << name_ << " parse error: " << e.what();
     return;
   }
+  const std::size_t records = f.seqs.size();
   {
     util::MutexLock lock(mu_);
-    if (is_frame) ++stats_.merged_frames;
-    stats_.records_in += f.seqs.size();
+    stats_.records_in += records;
   }
-  const std::string_view payload(f.payload);
-  append_pending(f.producer, payload.substr(0, f.header_len),
-                 payload.substr(f.header_len), f.seqs, f.delays,
-                 window_of(msg.sim_time), msg.sim_time, child,
-                 msg.delivery_tag);
-}
-
-void Aggregator::append_pending(const std::string& host,
-                                std::string_view header,
-                                std::string_view records,
-                                const std::vector<std::uint64_t>& seqs,
-                                const std::vector<util::SimTime>& delays,
-                                util::SimTime window_id,
-                                util::SimTime max_time, std::size_t child,
-                                std::uint64_t tag) {
+  const std::string host = f.producer;
+  const util::SimTime window_id = window_of(msg.sim_time);
   auto it = pending_.find(host);
-  if (it != pending_.end() && !it->second.seqs.empty() &&
-      (it->second.window_id != window_id || it->second.header != header)) {
+  if (it != pending_.end() && !it->second.frame.seqs.empty() &&
+      (it->second.window_id != window_id ||
+       header_of(it->second.frame) != header_of(f))) {
     // Window rolled over (or the host's schemas changed): close the open
     // frame before starting the next one.
     flush_host(host);
@@ -162,39 +140,37 @@ void Aggregator::append_pending(const std::string& host,
   }
   if (it == pending_.end()) it = pending_.try_emplace(host).first;
   PendingFrame& p = it->second;
-  if (p.seqs.empty()) {
-    p.header.assign(header);
+  if (p.frame.seqs.empty()) {
+    p.frame = std::move(f);
     p.window_id = window_id;
-    p.max_time = 0;
+    p.max_time = msg.sim_time;
+  } else {
+    // Append the records behind the open frame's copy of the header.
+    p.frame.payload.append(f.payload, f.header_len);
+    p.frame.seqs.insert(p.frame.seqs.end(), f.seqs.begin(), f.seqs.end());
+    p.frame.delays.insert(p.frame.delays.end(), f.delays.begin(),
+                          f.delays.end());
+    p.max_time = std::max(p.max_time, msg.sim_time);
   }
-  p.records.append(records);
-  p.seqs.insert(p.seqs.end(), seqs.begin(), seqs.end());
-  p.delays.insert(p.delays.end(), delays.begin(), delays.end());
-  p.max_time = std::max(p.max_time, max_time);
-  p.acks.emplace_back(child, tag);
-  pending_records_.fetch_add(seqs.size());
-  if (options_.batch_records > 0 && p.seqs.size() >= options_.batch_records) {
+  p.acks.emplace_back(child, msg.delivery_tag);
+  pending_records_.fetch_add(records);
+  if (options_.batch_records > 0 &&
+      p.frame.seqs.size() >= options_.batch_records) {
     flush_host(host);
   }
 }
 
 void Aggregator::flush_host(std::string host) {
   const auto it = pending_.find(host);
-  if (it == pending_.end() || it->second.seqs.empty()) return;
-  PendingFrame p = std::move(it->second);
+  if (it == pending_.end() || it->second.frame.seqs.empty()) return;
+  const PendingFrame p = std::move(it->second);
   pending_.erase(it);
-  pending_records_.fetch_sub(p.seqs.size());
+  const std::size_t records = p.frame.seqs.size();
+  pending_records_.fetch_sub(records);
 
-  AggFrame f;
-  f.producer = host;
-  f.seqs = std::move(p.seqs);
-  f.delays = std::move(p.delays);
-  f.header_len = p.header.size();
-  f.payload = std::move(p.header);
-  f.payload += p.records;
   const std::uint64_t fseq = ++frame_seq_;
   if (outbox_.send(Outbox::Entry{std::string(kRoutingPrefix) + host,
-                                 f.serialize(), fseq, f.seqs.size(),
+                                 p.frame.serialize(), fseq, records,
                                  p.max_time})) {
     if (faults_) {
       const auto fault = faults_->decide(util::kFaultAggregatorCrash, name_,
@@ -211,7 +187,7 @@ void Aggregator::flush_host(std::string host) {
     for (const auto& [c, tag] : p.acks) children_[c]->ack(queue_, tag);
     util::MutexLock lock(mu_);
     ++stats_.frames_out;
-    stats_.records_out += f.seqs.size();
+    stats_.records_out += records;
     return;
   }
   // Retries exhausted (or queued behind the spool): the spool owns the
@@ -224,7 +200,7 @@ void Aggregator::flush_all() {
   while (true) {
     auto it = std::find_if(pending_.begin(), pending_.end(),
                            [](const auto& kv) {
-                             return !kv.second.seqs.empty();
+                             return !kv.second.frame.seqs.empty();
                            });
     if (it == pending_.end()) break;
     flush_host(it->first);
@@ -236,7 +212,7 @@ void Aggregator::crash_recover(std::size_t extra_unacked) {
   std::size_t lost = 0;
   for (const auto& [host, p] : pending_) {
     requeued += p.acks.size();
-    lost += p.seqs.size();
+    lost += p.frame.seqs.size();
   }
   pending_.clear();
   pending_records_.fetch_sub(lost);

@@ -1,9 +1,11 @@
 // Aggregator tier node (PerSyst-style tree aggregation): a real thread
-// that consumes raw chunks (or lower-tier frames) from its child brokers,
-// pre-reduces them in flight — same-window per-host batches coalesce into
-// one AggFrame behind a single copy of the host's header — and republishes
+// that consumes frames (the daemons' frames of one record, or lower-tier
+// frames) from its child brokers, pre-reduces them in flight — same-window
+// per-host frames coalesce into one AggFrame behind a single copy of the
+// host's header, which each frame's header_len marks off — and republishes
 // the frames upward to its parent broker. Every record keeps its daemon's
-// (producer, seq) identity: a message without one is dropped as malformed.
+// (producer, seq) identity. A message that is not a valid frame is a parse
+// error: acked and dropped, nothing forwarded.
 //
 // Delivery: at-least-once per tier. Child deliveries are acked only after
 // the coalesced frame is safely published upward (or taken into the local
@@ -30,6 +32,7 @@
 
 #include "transport/broker.hpp"
 #include "transport/daemon.hpp"
+#include "transport/frame.hpp"
 #include "util/fault.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -52,7 +55,6 @@ struct AggregatorStats {
   std::uint64_t records_in = 0;     // raw records consumed from children
   std::uint64_t frames_out = 0;     // frames published upward
   std::uint64_t records_out = 0;    // records carried by those frames
-  std::uint64_t merged_frames = 0;  // lower-tier frames folded into pending
   std::uint64_t crashes = 0;        // injected aggregator.crash events
   std::uint64_t parse_errors = 0;   // malformed bodies acked and dropped
   util::SimTime total_backoff = 0;  // virtual retry-backoff time
@@ -99,12 +101,10 @@ class Aggregator {
   AggregatorStats stats() const TACC_EXCLUDES(mu_);
 
  private:
-  /// One host's accumulating frame.
+  /// One host's accumulating frame: the first frame folded in, with every
+  /// later one's records appended behind its header.
   struct PendingFrame {
-    std::string header;   // host header bytes (magic + ids + schemas)
-    std::string records;  // concatenated serialized record bytes
-    std::vector<std::uint64_t> seqs;
-    std::vector<util::SimTime> delays;
+    AggFrame frame;
     /// (child index, delivery tag) of every child message folded in; acked
     /// on successful upward publish or spool handoff.
     std::vector<std::pair<std::size_t, std::uint64_t>> acks;
@@ -112,13 +112,9 @@ class Aggregator {
     util::SimTime max_time = 0;
   };
   void run();
-  void ingest(std::size_t child, Message msg);
-  void append_pending(const std::string& host, std::string_view header,
-                      std::string_view records,
-                      const std::vector<std::uint64_t>& seqs,
-                      const std::vector<util::SimTime>& delays,
-                      util::SimTime window_id, util::SimTime max_time,
-                      std::size_t child, std::uint64_t tag);
+  /// Folds one child message into its host's pending frame, or counts a
+  /// parse error and acks it.
+  void ingest(std::size_t child, Message& msg);
   /// Flushes one host's pending frame upward (publish or spool). Takes
   /// the key by value: it erases the host's pending_ node, so a caller's
   /// reference into that map would dangle.
@@ -132,7 +128,6 @@ class Aggregator {
   util::SimTime window_of(util::SimTime t) const noexcept {
     return options_.window > 0 ? t / options_.window : 0;
   }
-  std::size_t header_len_of(const std::string& host, const std::string& body);
 
   const std::string name_;
   std::vector<Broker*> children_;
@@ -143,7 +138,6 @@ class Aggregator {
 
   // Owned by the aggregator thread; no lock needed.
   std::map<std::string, PendingFrame> pending_;
-  std::map<std::string, std::string> header_cache_;  // host -> header bytes
   Outbox outbox_;  // upward frames: retry, spool, replay
   std::uint64_t frame_seq_ = 0;
 

@@ -73,9 +73,8 @@ void Consumer::run() {
     }
     idle_.store(0);
     try {
-      // Every message becomes one host's records, each under its (producer,
-      // seq) identity: a frame carries N of them behind one header, a plain
-      // daemon chunk is a frame of one.
+      // Every message is one host's frame: N records behind one header,
+      // each under its (producer, seq) identity.
       const AggFrame frame = AggFrame::of_message(*msg);
       collect::HostLog chunk = collect::HostLog::parse(frame.payload);
       if (chunk.records.size() != frame.seqs.size()) {
@@ -117,7 +116,7 @@ void Consumer::run() {
       broker_->ack(queue_, msg->delivery_tag);
       consumed_.fetch_add(1);
     } catch (const std::exception& e) {
-      // Malformed chunk: ack and drop (a real consumer dead-letters it).
+      // Malformed frame: ack and drop (a real consumer dead-letters it).
       parse_errors_.fetch_add(1);
       broker_->ack(queue_, msg->delivery_tag);
       TS_LOG(Warn, "consumer") << "parse error: " << e.what();

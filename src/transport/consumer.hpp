@@ -1,15 +1,16 @@
 // The daemon-mode data consumer (paper Fig. 2): a real thread that drains
-// the broker queue, parses the self-describing chunks, writes them into the
+// the broker queue, parses each message's frame (transport/frame.hpp) and
+// the self-describing chunk it carries, writes the records into the
 // central RawArchive immediately (real-time availability), and optionally
 // feeds an online-analysis callback with each record.
 //
 // Delivery guarantee: the broker is at-least-once (redelivery on
 // crash-before-ack); the consumer makes it exactly-once by deduplicating
-// every record on its (producer, seq) identity. Each message, a daemon
-// chunk (a frame of one) or an aggregator frame, goes through one
+// every record on its (producer, seq) identity. Each message, a daemon's
+// frame of one or an aggregator's coalesced frame, goes through one
 // RawArchive::append_unique — one atomic check-and-append, so a crash
 // between the archive write and the ack can neither lose nor
-// double-archive a record. A message without that identity, or whose
+// double-archive a record. A message that is not a valid frame, or whose
 // record count differs from its seq count, is malformed: counted as a
 // parse error, acked and dropped. On start the consumer recovers the queue
 // (reclaiming a dead predecessor's unacked deliveries).

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "simhw/node.hpp"
+#include "transport/frame.hpp"
 #include "util/log.hpp"
 
 namespace tacc::transport {
@@ -165,9 +166,9 @@ bool StatsDaemon::publish_record(util::SimTime now, const std::string& mark) {
   }
   stats_.total_collect_wall_s += timer.elapsed_s();
   ++stats_.collections;
-  Outbox::Entry entry{routing_key_,
-                      header_ + collect::HostLog::serialize_record(record),
-                      ++next_seq_, 1, now};
+  const AggFrame frame{hostname(), {++next_seq_}, {0}, header_.size(),
+                       header_ + collect::HostLog::serialize_record(record)};
+  Outbox::Entry entry{routing_key_, frame.serialize(), next_seq_, 1, now};
   if (broker_->publish_paused(routing_key_)) {
     // Backpressure: a Paused queue diverts the record straight to the
     // local spool — no publish attempts, no failure accounting; it

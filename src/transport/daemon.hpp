@@ -1,8 +1,9 @@
 // tacc_statsd: the daemon-mode collector (paper Fig. 2). One instance per
 // node; sampling is driven by simulated time (the real daemon's sleep()
 // loop), and every collection is serialized as a self-describing chunk
-// (header + one record) and published to the broker with routing key
-// "stats.<hostname>".
+// (header + one record), sent as a frame of one (transport/frame.hpp:
+// producer = hostname, the record's seq, header_len = the header's size)
+// and published to the broker with routing key "stats.<hostname>".
 //
 // The daemon also accepts out-of-band collection triggers: the scheduler
 // prolog/epilog ("begin"/"end" marks) and the shared-node process
@@ -33,8 +34,8 @@
 
 namespace tacc::transport {
 
-/// Routing-key prefix of every stats publish: host h's chunks and frames
-/// route as "stats.h", and AggregationTree binds "stats.*" on every broker.
+/// Routing-key prefix of every stats publish: host h's frames route as
+/// "stats.h", and AggregationTree binds "stats.*" on every broker.
 inline constexpr std::string_view kRoutingPrefix = "stats.";
 
 /// Publish retry/backoff tuning. Backoff is virtual (accounted, not slept):

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <stdexcept>
 
+#include "collect/rawfile.hpp"
 #include "util/strings.hpp"
 
 namespace tacc::transport {
@@ -43,6 +44,9 @@ void append_u64_csv(std::string& out, const std::uint64_t* v, std::size_t n) {
 std::vector<std::uint64_t> parse_u64_csv(std::string_view s,
                                          std::size_t expect,
                                          const char* what) {
+  // n values take at least 2n - 1 bytes: refuse a count the line cannot
+  // hold before it sizes the vector.
+  if (expect > (s.size() + 1) / 2) malformed(what);
   std::vector<std::uint64_t> out;
   out.reserve(expect);
   while (!s.empty()) {
@@ -55,11 +59,56 @@ std::vector<std::uint64_t> parse_u64_csv(std::string_view s,
   return out;
 }
 
-}  // namespace
-
-bool AggFrame::is_frame(std::string_view body) noexcept {
-  return util::starts_with(body, kMagic);
+/// The header_len rule of AggFrame::parse(): true if `header_len` ends the
+/// payload's header where HostLog::parse_header does.
+bool header_ends_at(std::string_view payload, std::size_t header_len) {
+  const std::string_view header = payload.substr(0, header_len);
+  const std::size_t first = header.find('\n');
+  if (first == std::string_view::npos || header[0] != '$' ||
+      header.substr(1, first - 1) != collect::kFormatTag) {
+    return false;
+  }
+  for (std::size_t pos = first + 1; pos < header.size();) {
+    const std::size_t nl = header.find('\n', pos);
+    if (nl == std::string_view::npos ||
+        (header[pos] != '$' && header[pos] != '!')) {
+      return false;
+    }
+    pos = nl + 1;
+  }
+  return header_len == payload.size() ||
+         (payload[header_len] >= '0' && payload[header_len] <= '9');
 }
+
+/// Parses everything but the payload into `f` and returns the offset of
+/// the payload in `body`. Throws like AggFrame::parse().
+std::size_t parse_meta(std::string_view body, AggFrame& f) {
+  if (!util::starts_with(body, kMagic)) malformed("bad magic");
+  std::string_view rest = body.substr(kMagic.size());
+  const std::string_view meta = take_line(rest, "truncated meta line");
+  const auto fields = util::split_ws(meta);
+  if (fields.size() != 3) malformed("meta line wants <producer> <count> <header_len>");
+  f.producer = std::string(fields[0]);
+  const std::uint64_t count = parse_u64(fields[1], "bad count");
+  f.header_len = parse_u64(fields[2], "bad header_len");
+
+  std::string_view seq_line = take_line(rest, "truncated $seqs line");
+  if (!util::starts_with(seq_line, "$seqs ")) malformed("missing $seqs");
+  f.seqs = parse_u64_csv(seq_line.substr(6), count, "bad $seqs");
+
+  std::string_view delay_line = take_line(rest, "truncated $delays line");
+  if (!util::starts_with(delay_line, "$delays ")) malformed("missing $delays");
+  const auto raw_delays = parse_u64_csv(delay_line.substr(8), count, "bad $delays");
+  f.delays.assign(raw_delays.begin(), raw_delays.end());
+
+  if (rest.size() < f.header_len) malformed("truncated payload");
+  if (!header_ends_at(rest, f.header_len)) {
+    malformed("header_len does not end the header");
+  }
+  return body.size() - rest.size();
+}
+
+}  // namespace
 
 std::string AggFrame::serialize() const {
   std::string out;
@@ -93,74 +142,27 @@ std::string AggFrame::serialize() const {
 }
 
 AggFrame AggFrame::parse(std::string_view body) {
-  if (!is_frame(body)) malformed("bad magic");
-  std::string_view rest = body.substr(kMagic.size());
-  const std::string_view meta = take_line(rest, "truncated meta line");
-  const auto fields = util::split_ws(meta);
-  if (fields.size() != 3) malformed("meta line wants <producer> <count> <header_len>");
   AggFrame f;
-  f.producer = std::string(fields[0]);
-  const std::uint64_t count = parse_u64(fields[1], "bad count");
-  f.header_len = parse_u64(fields[2], "bad header_len");
-
-  std::string_view seq_line = take_line(rest, "truncated $seqs line");
-  if (!util::starts_with(seq_line, "$seqs ")) malformed("missing $seqs");
-  f.seqs = parse_u64_csv(seq_line.substr(6), count, "bad $seqs");
-
-  std::string_view delay_line = take_line(rest, "truncated $delays line");
-  if (!util::starts_with(delay_line, "$delays ")) malformed("missing $delays");
-  const auto raw_delays = parse_u64_csv(delay_line.substr(8), count, "bad $delays");
-  f.delays.assign(raw_delays.begin(), raw_delays.end());
-
-  if (rest.size() < f.header_len) malformed("truncated payload");
-  f.payload = std::string(rest);
+  f.payload = std::string(body.substr(parse_meta(body, f)));
   return f;
 }
 
 AggFrame AggFrame::of_message(Message& msg) {
   AggFrame f;
-  if (is_frame(msg.body)) {
-    f = parse(msg.body);
-  } else {
-    if (msg.producer.empty()) {
-      throw std::invalid_argument("chunk without a producer identity");
-    }
-    f.producer = msg.producer;
-    f.seqs = {msg.seq};
-    f.delays = {0};
-    f.payload = std::move(msg.body);
-  }
+  msg.body.erase(0, parse_meta(msg.body, f));
+  f.payload = std::move(msg.body);
   for (auto& d : f.delays) d += msg.delay;
   return f;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> AggFrame::message_seqs(
     const Message& msg) {
+  AggFrame f;
+  parse_meta(msg.body, f);
   std::vector<std::pair<std::string, std::uint64_t>> out;
-  if (is_frame(msg.body)) {
-    const AggFrame f = parse(msg.body);
-    out.reserve(f.seqs.size());
-    for (const std::uint64_t s : f.seqs) out.emplace_back(f.producer, s);
-  } else if (!msg.producer.empty()) {
-    out.emplace_back(msg.producer, msg.seq);
-  }
+  out.reserve(f.seqs.size());
+  for (const std::uint64_t s : f.seqs) out.emplace_back(f.producer, s);
   return out;
-}
-
-std::size_t AggFrame::message_records(const Message& msg) noexcept {
-  if (!is_frame(msg.body)) return 1;
-  // Count field of the meta line; fall back to 1 on malformed frames.
-  try {
-    const std::string_view rest =
-        std::string_view(msg.body).substr(kMagic.size());
-    const std::size_t nl = rest.find('\n');
-    if (nl == std::string_view::npos) return 1;
-    const auto fields = util::split_ws(rest.substr(0, nl));
-    if (fields.size() != 3) return 1;
-    return static_cast<std::size_t>(parse_u64(fields[1], "bad count"));
-  } catch (const std::invalid_argument&) {
-    return 1;
-  }
 }
 
 }  // namespace tacc::transport

@@ -1,8 +1,10 @@
-// Coalesced aggregation frame: the unit an aggregator tier republishes
-// upward. A frame packs N same-host raw records behind ONE copy of the
-// host's header (magic + $hostname/$arch + !schema lines), amortizing the
-// header bytes and letting the root consumer append all N records under a
-// single archive lock acquisition.
+// The stats message: every message a daemon or an aggregator tier
+// publishes is one host's AggFrame. A daemon sends each collection as a
+// frame of one record, the paper's self-describing chunk (header + record)
+// behind its (producer, seq) identity. An aggregator coalesces N same-host
+// records behind ONE copy of the host's header (magic + $hostname/$arch +
+// !schema lines), amortizing the header bytes and letting the root
+// consumer append all N records under a single archive lock acquisition.
 //
 // Wire format (body of a transport::Message):
 //
@@ -13,10 +15,11 @@
 //
 // The per-record (producer, seq) identities and injected delays survive
 // coalescing, so the root's exactly-once dedup and latency accounting see
-// exactly what they would have seen from N individual messages. Plain raw
-// chunks start with "$tacc_stats", so is_frame() can cheaply discriminate.
-// `header_len` lets an upper tier merge two frames of the same host without
-// re-parsing the schema header.
+// exactly what they would have seen from N individual messages.
+// `header_len` ends the header where collect::HostLog::parse_header does,
+// which lets an upper tier merge two frames of the same host without
+// re-parsing the schema header. A body that is not a valid frame is
+// malformed at every reader.
 #pragma once
 
 #include <cstdint>
@@ -37,33 +40,25 @@ struct AggFrame {
   std::size_t header_len = 0;           // header prefix length of payload
   std::string payload;                  // header bytes + record bytes
 
-  /// True if `body` is a serialized frame (vs. a plain raw chunk).
-  static bool is_frame(std::string_view body) noexcept;
-
   /// Parses a serialized frame. Throws std::invalid_argument on malformed
-  /// input (bad magic, count mismatch, truncated payload).
+  /// input: bad magic, count mismatch, truncated payload, or a header_len
+  /// that does not end the payload's header. The header must open with the
+  /// $tacc_stats format line and hold only '$' and '!' lines, the last one
+  /// ending at header_len; the byte after it, if any, starts a record line.
   static AggFrame parse(std::string_view body);
 
   std::string serialize() const;
 
-  /// A message as one host's frame, its delay added to every record's: a
-  /// frame as it is, a plain daemon chunk as a frame of one record under
-  /// the message's (producer, seq), header_len 0. Moves the body out of
-  /// `msg`. Throws std::invalid_argument on a malformed frame or a chunk
-  /// without a producer identity.
+  /// The frame a message carries, the message's delay added to every
+  /// record's. Moves the body out of `msg`. Throws std::invalid_argument
+  /// if the body is not a valid frame.
   static AggFrame of_message(Message& msg);
 
-  std::size_t record_count() const noexcept { return seqs.size(); }
-
-  /// The (producer, seq) identities carried by a message, frame-aware: one
-  /// pair for a plain chunk, N pairs for a frame. Used by conservation
-  /// accounting to count dead-lettered records regardless of which tier
-  /// parked them.
+  /// The (producer, seq) identities carried by a message's frame. Used by
+  /// conservation accounting to count dead-lettered records regardless of
+  /// which tier parked them. Throws like of_message().
   static std::vector<std::pair<std::string, std::uint64_t>> message_seqs(
       const Message& msg);
-
-  /// Number of raw records a message carries (1 for a plain chunk).
-  static std::size_t message_records(const Message& msg) noexcept;
 };
 
 }  // namespace tacc::transport

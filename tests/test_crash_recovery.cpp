@@ -11,6 +11,7 @@
 #include "simhw/cluster.hpp"
 #include "transport/consumer.hpp"
 #include "transport/daemon.hpp"
+#include "transport/frame.hpp"
 #include "util/fault.hpp"
 
 namespace tacc {
@@ -96,9 +97,17 @@ TEST(CrashRecovery, CrashWithUnackedDeliveryIsRedeliveredOnce) {
   {
     auto msg = broker.consume("raw", std::chrono::milliseconds(100));
     ASSERT_TRUE(msg);
-    const auto chunk = collect::HostLog::parse(msg->body);
-    ASSERT_TRUE(archive.append_unique(msg->producer, {msg->seq}, chunk,
-                                      {msg->delay}, 0));
+    // The daemon's frame of one: its identity, a header_len that ends the
+    // header, and a payload that parses to the one record.
+    const auto frame = transport::AggFrame::of_message(*msg);
+    EXPECT_EQ(frame.producer, daemon.hostname());
+    EXPECT_EQ(frame.seqs, std::vector<std::uint64_t>{1});
+    collect::HostLog header;
+    EXPECT_EQ(frame.header_len, header.parse_header(frame.payload));
+    const auto chunk = collect::HostLog::parse(frame.payload);
+    ASSERT_EQ(chunk.records.size(), 1u);
+    ASSERT_TRUE(archive.append_unique(frame.producer, frame.seqs, chunk,
+                                      frame.delays, 0));
     // No ack: the consumer dies right here.
   }
   EXPECT_EQ(archive.total_records(), 1u);

@@ -6,6 +6,7 @@
 #include "transport/consumer.hpp"
 #include "transport/cron.hpp"
 #include "transport/daemon.hpp"
+#include "transport/frame.hpp"
 
 namespace tacc::transport {
 namespace {
@@ -30,7 +31,17 @@ TEST(Daemon, PublishesParseableChunks) {
   const auto msg = broker.consume("q", std::chrono::milliseconds(100));
   ASSERT_TRUE(msg);
   EXPECT_EQ(msg->routing_key, "stats.c400-001");
-  const auto chunk = collect::HostLog::parse(msg->body);
+  // A frame of one: the record's identity (the same as the delivery's),
+  // then the self-describing chunk, its header marked off by header_len.
+  const auto frame = AggFrame::parse(msg->body);
+  EXPECT_EQ(frame.producer, "c400-001");
+  EXPECT_EQ(frame.seqs, std::vector<std::uint64_t>{1});
+  EXPECT_EQ(frame.delays, std::vector<util::SimTime>{0});
+  EXPECT_EQ(msg->producer, frame.producer);
+  EXPECT_EQ(msg->seq, 1u);
+  collect::HostLog header;
+  EXPECT_EQ(frame.header_len, header.parse_header(frame.payload));
+  const auto chunk = collect::HostLog::parse(frame.payload);
   EXPECT_EQ(chunk.hostname, "c400-001");
   ASSERT_EQ(chunk.records.size(), 1u);
   EXPECT_EQ(chunk.records[0].jobids, std::vector<long>{77});
@@ -107,8 +118,8 @@ TEST(Consumer, MalformedChunkCountedNotFatal) {
   broker.bind("raw", "#");
   RawArchive archive;
   Consumer consumer(broker, archive, "raw");
-  // Neither body carries a (producer, seq) identity; the second would
-  // parse, but a record without an identity cannot be deduplicated.
+  // Neither body is a frame: the first is no stats chunk at all, the
+  // second a bare chunk header.
   broker.publish("k", "this is not a stats chunk");
   broker.publish("k", "$tacc_stats 2.1\n$hostname h\n$arch x\n");
   StatsDaemon daemon(cluster.node(0), broker, {},
@@ -116,7 +127,7 @@ TEST(Consumer, MalformedChunkCountedNotFatal) {
   daemon.collect_now(kMidnight, {});
   consumer.drain();
   EXPECT_EQ(consumer.parse_errors(), 2u);
-  EXPECT_EQ(consumer.consumed(), 1u);  // the daemon-stamped chunk
+  EXPECT_EQ(consumer.consumed(), 1u);  // the daemon's frame
   EXPECT_EQ(archive.total_records(), 1u);
   consumer.stop();
 }

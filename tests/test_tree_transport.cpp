@@ -56,6 +56,15 @@ collect::Record make_synth_record(util::SimTime t, std::uint64_t base) {
   return rec;
 }
 
+/// The daemon's message: one record as a frame of one under (host, seq).
+std::string frame_of_one(const std::string& host, std::uint64_t seq,
+                         const std::string& header,
+                         const collect::Record& rec) {
+  return transport::AggFrame{host, {seq}, {0}, header.size(),
+                             header + collect::HostLog::serialize_record(rec)}
+      .serialize();
+}
+
 TEST(AggFrame, SerializeParseRoundTrip) {
   const auto log = make_synth_log("c401-101");
   const auto rec1 = make_synth_record(kStart, 100);
@@ -70,15 +79,12 @@ TEST(AggFrame, SerializeParseRoundTrip) {
   f.payload = header + collect::HostLog::serialize_record(rec1) +
               collect::HostLog::serialize_record(rec2);
 
-  const std::string wire = f.serialize();
-  ASSERT_TRUE(transport::AggFrame::is_frame(wire));
-  const auto parsed = transport::AggFrame::parse(wire);
+  const auto parsed = transport::AggFrame::parse(f.serialize());
   EXPECT_EQ(parsed.producer, f.producer);
   EXPECT_EQ(parsed.seqs, f.seqs);
   EXPECT_EQ(parsed.delays, f.delays);
   EXPECT_EQ(parsed.header_len, f.header_len);
   EXPECT_EQ(parsed.payload, f.payload);
-  EXPECT_EQ(parsed.record_count(), 2u);
 
   // The payload is a well-formed host log carrying exactly the records.
   const auto chunk = collect::HostLog::parse(parsed.payload);
@@ -88,10 +94,20 @@ TEST(AggFrame, SerializeParseRoundTrip) {
 }
 
 TEST(AggFrame, PlainChunkIsNotAFrame) {
+  // Every reader takes frames only: a plain chunk is refused even under a
+  // (producer, seq) delivery identity, and so is an empty body.
   auto log = make_synth_log("c401-101");
   log.records.push_back(make_synth_record(kStart, 1));
-  EXPECT_FALSE(transport::AggFrame::is_frame(log.serialize()));
-  EXPECT_FALSE(transport::AggFrame::is_frame(""));
+  transport::Message msg;
+  msg.producer = "c401-101";
+  msg.seq = 1;
+  for (const std::string& body : {log.serialize(), std::string()}) {
+    msg.body = body;
+    EXPECT_THROW(transport::AggFrame::parse(msg.body), std::invalid_argument);
+    EXPECT_THROW(transport::AggFrame::of_message(msg), std::invalid_argument);
+    EXPECT_THROW(transport::AggFrame::message_seqs(msg),
+                 std::invalid_argument);
+  }
 }
 
 TEST(AggFrame, MalformedInputThrows) {
@@ -99,9 +115,10 @@ TEST(AggFrame, MalformedInputThrows) {
   f.producer = "h";
   f.seqs = {1};
   f.delays = {0};
-  f.header_len = 3;  // the whole payload is "header" bytes
-  f.payload = "xyz";
+  f.payload = make_synth_log("h").serialize_header();
+  f.header_len = f.payload.size();  // the whole payload is header bytes
   const std::string wire = f.serialize();
+  EXPECT_NO_THROW(transport::AggFrame::parse(wire));
   // Truncation into the declared header prefix is detectable.
   EXPECT_THROW(transport::AggFrame::parse(wire.substr(0, wire.size() - 1)),
                std::invalid_argument);
@@ -113,24 +130,76 @@ TEST(AggFrame, MalformedInputThrows) {
   g.delays = {0, 1};
   EXPECT_THROW(transport::AggFrame::parse(g.serialize()),
                std::invalid_argument);
+  // A count its $seqs line cannot hold is refused before it sizes a
+  // vector (reserving 2^62 seqs would throw std::length_error).
+  EXPECT_THROW(transport::AggFrame::parse(
+                   "$tacc_agg 1 h 4611686018427387904 0\n$seqs 1\n"
+                   "$delays 0\n"),
+               std::invalid_argument);
+}
+
+TEST(AggFrame, HeaderLenMustEndTheHeader) {
+  const std::string header = make_synth_log("h").serialize_header();
+  const std::string record =
+      collect::HostLog::serialize_record(make_synth_record(kStart, 1));
+  transport::AggFrame f{"h", {1}, {0}, header.size(), header + record};
+  EXPECT_NO_THROW(transport::AggFrame::parse(f.serialize()));
+  collect::HostLog probe;
+  EXPECT_EQ(f.header_len, probe.parse_header(f.payload));
+
+  const std::size_t schema_line = header.find("\n!") + 1;
+  const std::size_t record_line = header.size() + record.find('\n') + 1;
+  for (const std::size_t bad : {
+           std::size_t{0},      // no header at all
+           std::size_t{5},      // inside the format line
+           schema_line,         // ends a header line, but a schema line follows
+           schema_line + 3,     // cuts the schema line
+           header.size() - 1,   // stops short of the last '\n'
+           header.size() + 1,   // inside the record's first line
+           record_line,         // covers the record's first line
+           header.size() + record.size(),  // the whole payload
+       }) {
+    f.header_len = bad;
+    EXPECT_THROW(transport::AggFrame::parse(f.serialize()),
+                 std::invalid_argument)
+        << "header_len " << bad;
+  }
+
+  // A header that does not open with the format line.
+  const std::size_t format_end = header.find('\n') + 1;
+  f.payload = header.substr(format_end) + record;
+  f.header_len = header.size() - format_end;
+  EXPECT_THROW(transport::AggFrame::parse(f.serialize()),
+               std::invalid_argument);
+  // A frame of header bytes only is well formed.
+  f.payload = header;
+  f.header_len = header.size();
+  EXPECT_NO_THROW(transport::AggFrame::parse(f.serialize()));
 }
 
 TEST(AggFrame, MessageSeqsIsFrameAware) {
-  transport::Message plain;
-  plain.producer = "c1";
-  plain.seq = 9;
-  plain.body = "$tacc_stats ...";
-  const auto ps = transport::AggFrame::message_seqs(plain);
-  ASSERT_EQ(ps.size(), 1u);
-  EXPECT_EQ(ps[0], (std::pair<std::string, std::uint64_t>{"c1", 9}));
-  EXPECT_EQ(transport::AggFrame::message_records(plain), 1u);
+  const std::string header = make_synth_log("c2").serialize_header();
+  std::vector<collect::Record> recs;
+  std::string records;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    recs.push_back(make_synth_record(kStart + i * util::kMinute, i));
+    records += collect::HostLog::serialize_record(recs.back());
+  }
+  // message_seqs reads the frame's identities, not the delivery's.
+  transport::Message one;
+  one.producer = "c2";
+  one.seq = 9;
+  one.body = frame_of_one("c2", 7, header, recs[0]);
+  const auto os = transport::AggFrame::message_seqs(one);
+  ASSERT_EQ(os.size(), 1u);
+  EXPECT_EQ(os[0], (std::pair<std::string, std::uint64_t>{"c2", 7}));
 
   transport::AggFrame f;
   f.producer = "c2";
   f.seqs = {3, 4, 5};
   f.delays = {0, 0, 0};
-  f.header_len = 0;
-  f.payload = "";
+  f.header_len = header.size();
+  f.payload = header + records;
   transport::Message framed;
   framed.producer = "agg-1-0";
   framed.seq = 1;
@@ -141,7 +210,6 @@ TEST(AggFrame, MessageSeqsIsFrameAware) {
     EXPECT_EQ(fs[i].first, "c2");
     EXPECT_EQ(fs[i].second, f.seqs[i]);
   }
-  EXPECT_EQ(transport::AggFrame::message_records(framed), 3u);
 }
 
 TEST(Rendezvous, StableBalancedAndMinimallyRemapped) {
@@ -240,7 +308,7 @@ TEST(Aggregator, CoalescesPrefilledBatchIntoOneFrame) {
   parent.declare_queue(kQueue);
   parent.bind(kQueue, "stats.*");
 
-  // Pre-fill: 10 same-window chunks for c1, plus 3 + 2 chunks for c2
+  // Pre-fill: 10 same-window frames of one for c1, plus 3 + 2 for c2
   // straddling a window boundary — all before the aggregator starts, so
   // the burst consume sees them together.
   const auto log1 = make_synth_log("c1");
@@ -252,8 +320,7 @@ TEST(Aggregator, CoalescesPrefilledBatchIntoOneFrame) {
     info.producer = "c1";
     info.seq = i + 1;
     info.now = rec.time;
-    ASSERT_EQ(child.publish("stats.c1",
-                            h1 + collect::HostLog::serialize_record(rec),
+    ASSERT_EQ(child.publish("stats.c1", frame_of_one("c1", i + 1, h1, rec),
                             info),
               1u);
     c1_records += collect::HostLog::serialize_record(rec);
@@ -269,8 +336,7 @@ TEST(Aggregator, CoalescesPrefilledBatchIntoOneFrame) {
     info.producer = "c2";
     info.seq = i + 1;
     info.now = rec.time;
-    ASSERT_EQ(child.publish("stats.c2",
-                            h2 + collect::HostLog::serialize_record(rec),
+    ASSERT_EQ(child.publish("stats.c2", frame_of_one("c2", i + 1, h2, rec),
                             info),
               1u);
   }
@@ -299,8 +365,9 @@ TEST(Aggregator, CoalescesPrefilledBatchIntoOneFrame) {
 
   std::map<std::string, std::vector<transport::AggFrame>> frames;
   while (auto msg = parent.consume(kQueue, 10ms)) {
-    ASSERT_TRUE(transport::AggFrame::is_frame(msg->body));
-    frames[msg->routing_key].push_back(transport::AggFrame::parse(msg->body));
+    transport::AggFrame f;
+    ASSERT_NO_THROW(f = transport::AggFrame::parse(msg->body));
+    frames[msg->routing_key].push_back(std::move(f));
     parent.ack(kQueue, msg->delivery_tag);
   }
   ASSERT_EQ(frames["stats.c1"].size(), 1u);
@@ -310,6 +377,7 @@ TEST(Aggregator, CoalescesPrefilledBatchIntoOneFrame) {
   EXPECT_EQ(f1.seqs, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7, 8, 9,
                                                  10}));
   // One header copy, then the ten record bodies back to back.
+  EXPECT_EQ(f1.header_len, h1.size());
   EXPECT_EQ(f1.payload, h1 + c1_records);
   EXPECT_EQ(frames["stats.c2"][0].seqs,
             (std::vector<std::uint64_t>{1, 2, 3}));
@@ -342,8 +410,8 @@ TEST(AggregationTree, DeliversEveryRecordExactlyOnceInOrder) {
       info.seq = i + 1;
       info.now = rec.time;
       ASSERT_EQ(tree.leaf_for(host).publish(
-                    "stats." + host,
-                    header + collect::HostLog::serialize_record(rec), info),
+                    "stats." + host, frame_of_one(host, i + 1, header, rec),
+                    info),
                 1u);
     }
   }
@@ -371,6 +439,83 @@ TEST(AggregationTree, DeliversEveryRecordExactlyOnceInOrder) {
 
   tree.stop();
   consumer.stop();
+}
+
+/// Publishes, under host c1's delivery identities, bodies that every
+/// reader must refuse: a plain daemon chunk (no frame), two same-window
+/// frames with header_len 0, and a frame whose header_len cuts a schema
+/// line. An aggregator that took the two header_len-0 frames would
+/// coalesce them behind an empty header, and the consumer would then drop
+/// the merged frame and both records with it. Returns the count.
+std::size_t publish_misframed(transport::Broker& broker) {
+  const std::string header = make_synth_log("c1").serialize_header();
+  const auto chunk = [&](std::uint64_t i) {
+    return header + collect::HostLog::serialize_record(
+                        make_synth_record(kStart + i * util::kMinute, i));
+  };
+  const auto frame = [&](std::uint64_t i, std::size_t header_len) {
+    return transport::AggFrame{"c1", {i + 1}, {0}, header_len, chunk(i)}
+        .serialize();
+  };
+  const std::vector<std::string> bodies = {
+      chunk(0), frame(1, 0), frame(2, 0), frame(3, header.find("\n!") + 4)};
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    transport::PublishInfo info;
+    info.producer = "c1";
+    info.seq = i + 1;
+    info.now = kStart + static_cast<util::SimTime>(i) * util::kMinute;
+    EXPECT_EQ(broker.publish("stats.c1", bodies[i], info), 1u);
+  }
+  return bodies.size();
+}
+
+TEST(Consumer, RefusesBodiesThatAreNotValidFrames) {
+  transport::Broker broker;
+  broker.declare_queue(kQueue);
+  broker.bind(kQueue, "stats.*");
+  transport::RawArchive archive;
+  int callbacks = 0;
+  transport::Consumer consumer(
+      broker, archive, kQueue,
+      [&](const std::string&, const collect::HostLog&) { ++callbacks; });
+  const std::size_t n = publish_misframed(broker);
+  consumer.drain();
+  // Each body is delivered once (no faults), so n errors is one apiece.
+  EXPECT_EQ(consumer.parse_errors(), n);
+  EXPECT_EQ(consumer.consumed(), 0u);
+  EXPECT_EQ(archive.total_records(), 0u);
+  EXPECT_EQ(callbacks, 0);
+  EXPECT_EQ(broker.depth(kQueue), 0u);
+  EXPECT_EQ(broker.unacked_depth(kQueue), 0u);
+  consumer.stop();
+}
+
+TEST(Aggregator, RefusesBodiesThatAreNotValidFrames) {
+  transport::Broker child;
+  child.declare_queue(kQueue);
+  child.bind(kQueue, "stats.*");
+  transport::Broker parent;
+  parent.declare_queue(kQueue);
+  parent.bind(kQueue, "stats.*");
+  const std::size_t n = publish_misframed(child);
+
+  transport::Aggregator agg("agg-test", {&child}, parent, kQueue, {},
+                            nullptr);
+  using namespace std::chrono_literals;
+  for (int spin = 0; spin < 5000 && !agg.idle(); ++spin) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(agg.idle()) << "aggregator never went idle";
+  agg.stop();
+
+  const auto s = agg.stats();
+  EXPECT_EQ(s.consumed, n);
+  EXPECT_EQ(s.parse_errors, n);
+  EXPECT_EQ(s.records_in, 0u);
+  EXPECT_EQ(s.frames_out, 0u);
+  EXPECT_EQ(parent.stats().published, 0u);
+  EXPECT_EQ(child.depth(kQueue), 0u);
+  EXPECT_EQ(child.unacked_depth(kQueue), 0u);
 }
 
 // ---------------------------------------------------------------------------
