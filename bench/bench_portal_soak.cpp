@@ -72,7 +72,7 @@ struct Fixture {
       case 1:
         r.kind = QueryRequest::Kind::Histograms;
         // A small rotating set of filters so histogram queries exercise
-        // both the cache and the materialized summaries.
+        // both cache hits and cold renders.
         if (i % 3 == 1) r.query.queue = "normal";
         if (i % 3 == 2) r.query.min_runtime_s = 600.0;
         break;
@@ -159,7 +159,7 @@ double measure_warm_speedup(Fixture& fx, BenchJson& json) {
   QueryEngineOptions cold_opt;
   cold_opt.cache_entries = 0;
   QueryEngine cold(fx.table(), &fx.store, cold_opt);
-  cold.execute(req);  // materialize summaries outside the timed loop
+  cold.execute(req);  // warm up outside the timed loop
   const auto t0 = Clock::now();
   for (int i = 0; i < reps; ++i) cold.execute(req);
   const double cold_s = seconds_since(t0);
@@ -253,7 +253,6 @@ void soak(Fixture& fx, BenchJson& json) {
   json.put("soak.shed", s.shed);
   json.put("soak.timed_out", s.timed_out);
   json.put("soak.failed", s.failed);
-  json.put("soak.summary_rebuilds", s.summary_rebuilds);
 
   if (ok == 0 || other != 0) {
     std::fprintf(stderr, "FATAL: soak saw %zu non-Ok results\n", other);

@@ -155,11 +155,12 @@ transport::CronStats ClusterMonitor::cron_stats() const {
 transport::DaemonStats ClusterMonitor::daemon_stats() const {
   transport::DaemonStats total;
   for (const auto& d : daemons_) {
-    total.collections += d->stats().collections;
-    total.publish_failures += d->stats().publish_failures;
-    total.total_collect_wall_s += d->stats().total_collect_wall_s;
-    total.total_backoff += d->stats().total_backoff;
-    total.resilience.merge(d->stats().resilience);
+    const transport::DaemonStats s = d->stats();
+    total.collections += s.collections;
+    total.publish_failures += s.publish_failures;
+    total.total_collect_wall_s += s.total_collect_wall_s;
+    total.total_backoff += s.total_backoff;
+    total.resilience.merge(s.resilience);
   }
   return total;
 }

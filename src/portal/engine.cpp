@@ -1,7 +1,6 @@
 #include "portal/engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
@@ -84,6 +83,41 @@ QueryResult shed_result() {
   return r;
 }
 
+/// A request's page, rendered by its view. Throws std::invalid_argument
+/// on a request it cannot serve (unknown job, no store, bad search field).
+std::string render(const db::Table& jobs, const tsdb::Store* store,
+                   const QueryRequest& request) {
+  switch (request.kind) {
+    case QueryRequest::Kind::Search:
+      return job_list_view(jobs, run_query(jobs, request.query),
+                           request.limit);
+    case QueryRequest::Kind::FlaggedList:
+      return flagged_sublist(jobs, run_query(jobs, request.query),
+                             request.limit);
+    case QueryRequest::Kind::Histograms:
+      return query_histograms(jobs, run_query(jobs, request.query),
+                              request.bins);
+    case QueryRequest::Kind::JobDetail: {
+      const auto rows =
+          jobs.select({{"jobid", db::Op::Eq, db::Value(request.jobid)}});
+      if (rows.empty()) {
+        throw std::invalid_argument("no such job: " +
+                                    std::to_string(request.jobid));
+      }
+      return job_detail_view(jobs, rows.front());
+    }
+    case QueryRequest::Kind::DailyReport:
+      return daily_report(jobs, request.day);
+    case QueryRequest::Kind::Timeseries:
+      if (store == nullptr) {
+        throw std::invalid_argument(
+            "no time-series store attached to this engine");
+      }
+      return render_timeseries(store->query(request.ts));
+  }
+  throw std::invalid_argument("unknown request kind");
+}
+
 }  // namespace
 
 const char* to_string(QueryStatus status) noexcept {
@@ -100,8 +134,8 @@ const char* to_string(QueryStatus status) noexcept {
   return "unknown";
 }
 
-/// Wall-clock budget: expired() is the cooperative check every execution
-/// stage polls. A default-constructed Deadline never expires.
+/// Wall-clock budget, checked before and after a request's view call. A
+/// default-constructed Deadline never expires.
 ///
 /// Determinism audit (DT001): Deadline::* and run_admitted are
 /// allowlisted — wall time is compared against the budget and reported
@@ -119,16 +153,6 @@ struct QueryEngine::Deadline {
     return d;
   }
   bool expired() const { return limited && SteadyClock::now() >= due; }
-};
-
-/// The materialized Fig. 4 summaries: one flat array per panel, indexed by
-/// RowId, values pre-scaled exactly as views::query_histograms scales them.
-/// Immutable once built; shared_ptr lets queries keep using a snapshot
-/// while a newer epoch replaces it.
-struct QueryEngine::Summaries {
-  EngineEpoch epoch;
-  std::vector<std::array<double, 4>> value;  // [row][panel]
-  std::vector<std::array<bool, 4>> present;  // false = SQL NULL, skip
 };
 
 QueryEngine::QueryEngine(const db::Table& jobs, const tsdb::Store* store,
@@ -227,7 +251,7 @@ QueryResult QueryEngine::run_admitted(const QueryRequest& request) {
   const auto t0 = SteadyClock::now();
   // A result is keyed on the part of the epoch its kind reads: a
   // Timeseries request reads only the store, every other kind only the
-  // jobs table (and the summaries built from it).
+  // jobs table.
   EngineEpoch epoch = current_epoch();
   if (request.kind == QueryRequest::Kind::Timeseries) {
     epoch.jobs_rows = 0;
@@ -251,14 +275,14 @@ QueryResult QueryEngine::run_admitted(const QueryRequest& request) {
       result.cached = true;
     } else {
       cache_misses_.fetch_add(1, std::memory_order_relaxed);
-      result = execute_cold(request, epoch, deadline);
+      result = execute_cold(request, deadline);
       if (result.status == QueryStatus::Ok) {
         cache_insert(key, epoch, result.payload);
       }
     }
   } else {
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    result = execute_cold(request, epoch, deadline);
+    result = execute_cold(request, deadline);
   }
 
   switch (result.status) {
@@ -281,149 +305,24 @@ QueryResult QueryEngine::run_admitted(const QueryRequest& request) {
 }
 
 QueryResult QueryEngine::execute_cold(const QueryRequest& request,
-                                      const EngineEpoch& epoch,
-                                      const Deadline& deadline) {
+                                      const Deadline& deadline) const {
   QueryResult out;
-  const auto timed_out = [&out] {
-    out = QueryResult{};
+  if (deadline.expired()) {
     out.status = QueryStatus::TimedOut;
-  };
-  const auto error = [&out](std::string message) {
-    out = QueryResult{};
-    out.status = QueryStatus::Error;
-    out.error = std::move(message);
-  };
+    return out;
+  }
   try {
-    if (deadline.expired()) {
-      timed_out();
-      return out;
-    }
-    switch (request.kind) {
-      case QueryRequest::Kind::Search: {
-        const auto rows = run_query(jobs_, request.query);
-        if (deadline.expired()) {
-          timed_out();
-          return out;
-        }
-        out.payload = job_list_view(jobs_, rows, request.limit);
-        break;
-      }
-      case QueryRequest::Kind::FlaggedList: {
-        const auto rows = run_query(jobs_, request.query);
-        if (deadline.expired()) {
-          timed_out();
-          return out;
-        }
-        out.payload = flagged_sublist(jobs_, rows, request.limit);
-        break;
-      }
-      case QueryRequest::Kind::Histograms: {
-        const auto summaries = summaries_for(epoch);
-        const auto rows = run_query(jobs_, request.query);
-        const auto panels = histogram_panels();
-        std::vector<std::vector<double>> panel_values(panels.size());
-        for (std::size_t p = 0; p < panels.size(); ++p) {
-          if (deadline.expired()) {
-            timed_out();
-            return out;
-          }
-          auto& values = panel_values[p];
-          values.reserve(rows.size());
-          for (const db::RowId id : rows) {
-            if (summaries->present[id][p]) {
-              values.push_back(summaries->value[id][p]);
-            }
-          }
-        }
-        if (deadline.expired()) {
-          timed_out();
-          return out;
-        }
-        out.payload = render_query_histograms(panel_values, request.bins);
-        break;
-      }
-      case QueryRequest::Kind::JobDetail: {
-        const auto rows = jobs_.select(
-            {{"jobid", db::Op::Eq, db::Value(request.jobid)}});
-        if (rows.empty()) {
-          error("no such job: " + std::to_string(request.jobid));
-          return out;
-        }
-        if (deadline.expired()) {
-          timed_out();
-          return out;
-        }
-        out.payload = job_detail_view(jobs_, rows.front());
-        break;
-      }
-      case QueryRequest::Kind::DailyReport: {
-        out.payload = daily_report(jobs_, request.day);
-        if (deadline.expired()) {
-          timed_out();
-          return out;
-        }
-        break;
-      }
-      case QueryRequest::Kind::Timeseries: {
-        if (store_ == nullptr) {
-          error("no time-series store attached to this engine");
-          return out;
-        }
-        const auto results = store_->query(request.ts);
-        if (deadline.expired()) {
-          timed_out();
-          return out;
-        }
-        out.payload = render_timeseries(results);
-        break;
-      }
-    }
-    if (deadline.expired()) {
-      timed_out();
-      return out;
-    }
+    out.payload = render(jobs_, store_, request);
   } catch (const std::exception& e) {
-    error(e.what());
+    out.status = QueryStatus::Error;
+    out.error = e.what();
+    return out;
+  }
+  if (deadline.expired()) {
+    out.payload.clear();
+    out.status = QueryStatus::TimedOut;
   }
   return out;
-}
-
-std::shared_ptr<const QueryEngine::Summaries> QueryEngine::summaries_for(
-    const EngineEpoch& epoch) {
-  {
-    util::MutexLock lock(summaries_mu_);
-    if (summaries_ != nullptr && summaries_->epoch == epoch) {
-      return summaries_;
-    }
-  }
-  // Rebuild outside the fast-path check but under the lock, so concurrent
-  // histogram queries at a new epoch rebuild once and the rest wait for
-  // the result instead of duplicating O(jobs) work.
-  util::MutexLock lock(summaries_mu_);
-  if (summaries_ != nullptr && summaries_->epoch == epoch) {
-    return summaries_;
-  }
-  auto built = std::make_shared<Summaries>();
-  built->epoch = epoch;
-  const auto panels = histogram_panels();
-  const std::size_t rows = jobs_.num_rows();
-  built->value.resize(rows);
-  built->present.resize(rows);
-  std::array<std::size_t, 4> column{};
-  for (std::size_t p = 0; p < panels.size(); ++p) {
-    column[p] = jobs_.column_index(panels[p].column);
-  }
-  for (db::RowId id = 0; id < rows; ++id) {
-    const db::Row& row = jobs_.row(id);
-    for (std::size_t p = 0; p < panels.size(); ++p) {
-      const db::Value& v = row[column[p]];
-      built->present[id][p] = !v.is_null();
-      built->value[id][p] = v.is_null() ? 0.0 : v.as_real() * panels[p].scale;
-    }
-  }
-  summary_rebuilds_.fetch_add(1, std::memory_order_relaxed);
-  summaries_ = std::move(built);
-  return summaries_;
 }
 
 std::optional<std::string> QueryEngine::cache_lookup(const std::string& key,
@@ -471,7 +370,6 @@ EngineStats QueryEngine::stats() const {
   s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   s.cache_evictions = cache_evictions_.load(std::memory_order_relaxed);
-  s.summary_rebuilds = summary_rebuilds_.load(std::memory_order_relaxed);
   s.in_flight = in_flight_.load(std::memory_order_relaxed);
   s.p50_ns = latency_.percentile_ns(50.0);
   s.p99_ns = latency_.percentile_ns(99.0);

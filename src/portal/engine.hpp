@@ -14,9 +14,10 @@
 //        the request (cache_key()) plus the part of the engine epoch the
 //        request reads. A hit returns the exact bytes the cold query
 //        produced.
-//     └─ execution on a util::ThreadPool worker, with the per-query
-//        deadline checked at every cooperative point; expiry returns a
-//        clean TimedOut with NO partial output.
+//     └─ execution on a util::ThreadPool worker: the request's view
+//        renders the page, with the per-query deadline checked before
+//        and after it; expiry returns a clean TimedOut with NO partial
+//        output.
 //     └─ Ok results enter the LRU cache; counters and the fixed-bucket
 //        latency histogram (util::LatencyHistogram) are updated either way.
 //
@@ -25,16 +26,13 @@
 // reads. Timeseries results key on the tsdb ingest epoch, which
 // tsdb::Store bumps on every put that lands points and on every seal_all,
 // so they are dropped — lazily, at lookup — the moment new points land.
-// Every other kind, and the Fig. 4 summaries, key on (jobs row count,
-// manual bump), so live tsdb ingest leaves them cached. Mutating the jobs
-// table in place (same row count) requires an invalidate_jobs() call.
+// Every other kind keys on (jobs row count, manual bump), so live tsdb
+// ingest leaves it cached. Mutating the jobs table in place (same row
+// count) requires an invalidate_jobs() call.
 //
-// Fig. 4 histograms are answered from materialized per-job summaries: a
-// snapshot of the four panel columns as flat arrays, rebuilt once per
-// jobs-table epoch, so a histogram query is O(jobs) array gathering —
-// never a rescan of raw points, and no per-row db::Value unboxing on the
-// hot path. The rendered bytes are identical to views::query_histograms
-// by construction (both call render_query_histograms).
+// Every kind renders through the function a direct caller uses
+// (job_list_view, query_histograms, daily_report, render_timeseries...),
+// so a cold result is byte for byte the direct rendering.
 //
 // Thread-safety contract:
 //   * submit(), execute(), stats(), stats_table(), current_epoch() and
@@ -73,7 +71,7 @@ namespace tacc::portal {
 enum class QueryStatus {
   Ok,          // payload holds the full rendered result
   Overloaded,  // shed at admission: queue_limit queries already in flight
-  TimedOut,    // deadline expired mid-execution; payload is empty
+  TimedOut,    // deadline expired before or after the view; no payload
   Error,       // malformed request (unknown job, no store, bad field...)
 };
 
@@ -105,8 +103,8 @@ struct QueryRequest {
   /// Timeseries only.
   tsdb::Query ts;
   /// Per-query wall-clock budget in nanoseconds. < 0 uses the engine's
-  /// default_deadline_ns; 0 expires at the first cooperative check (an
-  /// always-late query, useful in tests); > 0 is the budget.
+  /// default_deadline_ns; 0 expires before the view runs (an always-late
+  /// query, useful in tests); > 0 is the budget.
   std::int64_t deadline_ns = -1;
 };
 
@@ -143,12 +141,14 @@ struct EngineStats {
   std::uint64_t admitted = 0;      // passed admission control
   std::uint64_t shed = 0;          // rejected with Overloaded
   std::uint64_t completed = 0;     // finished Ok (cached or computed)
-  std::uint64_t timed_out = 0;     // deadline expired mid-execution
+  std::uint64_t timed_out = 0;     // deadline expired (no payload)
   std::uint64_t failed = 0;        // finished with Error
   std::uint64_t cache_hits = 0;    // served straight from the cache
   std::uint64_t cache_misses = 0;  // executed (cold, stale, or uncacheable)
   std::uint64_t cache_evictions = 0;  // entries dropped (capacity or stale)
-  std::uint64_t summary_rebuilds = 0;  // materialized-summary refreshes
+  /// Always 0: the engine keeps no materialized summaries. The field
+  /// stays because perfbench reports it.
+  std::uint64_t summary_rebuilds = 0;
   std::uint64_t in_flight = 0;     // admitted, not yet finished (gauge)
   /// Admitted-query latency percentiles from the fixed-bucket histogram
   /// (bucket upper bound — at most one power of two of overestimate).
@@ -185,13 +185,12 @@ class QueryEngine {
   /// future is always valid: shed requests resolve immediately with
   /// Overloaded. Thread-safe.
   std::future<QueryResult> submit(const QueryRequest& request)
-      TACC_EXCLUDES(cache_mu_, summaries_mu_);
+      TACC_EXCLUDES(cache_mu_);
 
   /// Admission-checks and runs the request on the calling thread
   /// (the caller occupies one in-flight slot; workers stay free).
   /// Thread-safe.
-  QueryResult execute(const QueryRequest& request)
-      TACC_EXCLUDES(cache_mu_, summaries_mu_);
+  QueryResult execute(const QueryRequest& request) TACC_EXCLUDES(cache_mu_);
 
   /// The canonicalized cache descriptor for a request: equal descriptors
   /// are the same query. Deterministic; deadline and instrumentation
@@ -201,9 +200,9 @@ class QueryEngine {
   /// The current invalidation epoch. Thread-safe.
   EngineEpoch current_epoch() const noexcept;
 
-  /// Invalidates every cached jobs-table result and the summaries after
-  /// an in-place jobs-table mutation the epoch cannot see (same row
-  /// count). Thread-safe.
+  /// Invalidates every cached jobs-table result after an in-place
+  /// jobs-table mutation the epoch cannot see (same row count).
+  /// Thread-safe.
   void invalidate_jobs() noexcept;
 
   /// Counter snapshot. Thread-safe.
@@ -217,7 +216,6 @@ class QueryEngine {
 
  private:
   struct Deadline;
-  struct Summaries;
   struct CacheEntry {
     EngineEpoch epoch;
     std::string payload;
@@ -231,22 +229,16 @@ class QueryEngine {
   /// cache fill, accounting). Called on a worker (submit) or the caller
   /// (execute).
   QueryResult run_admitted(const QueryRequest& request)
-      TACC_EXCLUDES(cache_mu_, summaries_mu_);
+      TACC_EXCLUDES(cache_mu_);
   /// Executes a cache-miss request. Returns Ok/TimedOut/Error.
   QueryResult execute_cold(const QueryRequest& request,
-                           const EngineEpoch& epoch, const Deadline& deadline)
-      TACC_EXCLUDES(summaries_mu_);
+                           const Deadline& deadline) const;
 
   std::optional<std::string> cache_lookup(const std::string& key,
                                           const EngineEpoch& epoch)
       TACC_EXCLUDES(cache_mu_);
   void cache_insert(const std::string& key, const EngineEpoch& epoch,
                     const std::string& payload) TACC_EXCLUDES(cache_mu_);
-
-  /// Returns the materialized Fig. 4 summaries for the jobs-table
-  /// `epoch`, rebuilding them if it moved.
-  std::shared_ptr<const Summaries> summaries_for(const EngineEpoch& epoch)
-      TACC_EXCLUDES(summaries_mu_);
 
   const db::Table& jobs_;
   const tsdb::Store* store_;
@@ -263,9 +255,6 @@ class QueryEngine {
                      std::list<std::pair<std::string, CacheEntry>>::iterator>
       cache_index_ TACC_GUARDED_BY(cache_mu_);
 
-  mutable util::Mutex summaries_mu_;
-  std::shared_ptr<const Summaries> summaries_ TACC_GUARDED_BY(summaries_mu_);
-
   // Lock-free counters (allowlisted in tools/lint/concurrency_allowlist.txt):
   // every access is a complete operation, nothing for a capability to guard.
   std::atomic<std::uint64_t> manual_epoch_{0};
@@ -278,7 +267,6 @@ class QueryEngine {
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> cache_misses_{0};
   std::atomic<std::uint64_t> cache_evictions_{0};
-  std::atomic<std::uint64_t> summary_rebuilds_{0};
   util::LatencyHistogram latency_;
 
   /// Declared last: destroyed first, so the pool drains and joins while

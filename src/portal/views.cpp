@@ -127,10 +127,7 @@ std::string process_view(const pipeline::JobData& data, std::size_t limit) {
       }
     }
     if (best == nullptr) continue;
-    const collect::Schema* schema = nullptr;
-    for (const auto& s : host.schemas) {
-      if (s.type() == "ps") schema = &s;
-    }
+    const collect::Schema* schema = host.schema_for("ps");
     if (schema == nullptr) continue;
     const auto rss = schema->index_of("vm_rss");
     const auto hwm = schema->index_of("vm_hwm");
@@ -187,40 +184,30 @@ std::string threshold_report(const db::Table& jobs, db::RowId row,
   return table.render();
 }
 
-std::span<const HistogramPanel> histogram_panels() {
-  static const HistogramPanel panels[] = {
+std::string query_histograms(const db::Table& jobs,
+                             const std::vector<db::RowId>& rows,
+                             std::size_t bins) {
+  // The four panels of paper Fig. 4, in render order: title, the
+  // jobs-table column, and the scale applied to every value before
+  // binning. NULL cells are left out.
+  static constexpr struct {
+    const char* title;
+    const char* column;
+    double scale;
+  } kPanels[] = {
       {"Run time (hours)", "runtime", 1.0 / 3600.0},
       {"Nodes", "nodes", 1.0},
       {"Queue wait time (hours)", "queue_wait", 1.0 / 3600.0},
       {"Max metadata reqs (1k/s)", "MetaDataRate", 1.0 / 1000.0},
   };
-  return panels;
-}
-
-std::string render_query_histograms(
-    std::span<const std::vector<double>> panel_values, std::size_t bins) {
-  const auto panels = histogram_panels();
   std::string out;
-  for (std::size_t i = 0; i < panels.size() && i < panel_values.size(); ++i) {
-    const auto& values = panel_values[i];
-    const auto h = util::Histogram::of(
-        std::span<const double>(values.data(), values.size()), bins);
-    out += h.render(panels[i].title);
+  for (const auto& p : kPanels) {
+    auto values = jobs.column_values(p.column, rows);
+    for (auto& v : values) v *= p.scale;
+    out += util::Histogram::of(values, bins).render(p.title);
     out += "\n";
   }
   return out;
-}
-
-std::string query_histograms(const db::Table& jobs,
-                             const std::vector<db::RowId>& rows,
-                             std::size_t bins) {
-  std::vector<std::vector<double>> panel_values;
-  for (const auto& p : histogram_panels()) {
-    auto values = jobs.column_values(p.column, rows);
-    for (auto& v : values) v *= p.scale;
-    panel_values.push_back(std::move(values));
-  }
-  return render_query_histograms(panel_values, bins);
 }
 
 }  // namespace tacc::portal

@@ -3,7 +3,6 @@
 // Fig. 4 query histograms.
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -44,26 +43,6 @@ std::string job_detail_view(const db::Table& jobs, db::RowId row,
 std::string query_histograms(const db::Table& jobs,
                              const std::vector<db::RowId>& rows,
                              std::size_t bins = 12);
-
-/// One Fig. 4 panel: display title, the jobs-table column it reads, and
-/// the scale applied to every value before binning.
-struct HistogramPanel {
-  const char* title;
-  const char* column;
-  double scale;
-};
-
-/// The four panels of paper Fig. 4, in render order. Shared between
-/// query_histograms (which extracts values from the jobs table) and
-/// portal::QueryEngine (which serves the same values from its materialized
-/// per-job summaries), so both paths render byte-identical pages.
-std::span<const HistogramPanel> histogram_panels();
-
-/// Renders pre-extracted panel values — one vector per panel, in
-/// histogram_panels() order, already scaled, NULLs dropped — exactly as
-/// query_histograms renders them.
-std::string render_query_histograms(
-    std::span<const std::vector<double>> panel_values, std::size_t bins = 12);
 
 /// The per-process drill-down of the detail page (paper section IV-B:
 /// "individual processes and their memory usage, cpu affinities, and

@@ -109,10 +109,13 @@ void Aggregator::ingest(std::size_t child, Message& msg) {
     ++stats_.consumed;
   }
   // Every message is one host's frame: a daemon's frame of one record or
-  // a lower tier's coalesced frame.
+  // a lower tier's coalesced frame. Its records are checked here, before
+  // it merges, so a bad record is refused alone and never takes the
+  // host's good records in the same window down with it.
   AggFrame f;
   try {
     f = AggFrame::of_message(msg);
+    f.host_log();
   } catch (const std::exception& e) {
     {
       util::MutexLock lock(mu_);

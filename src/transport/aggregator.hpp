@@ -4,8 +4,9 @@
 // per-host frames coalesce into one AggFrame behind a single copy of the
 // host's header, which each frame's header_len marks off — and republishes
 // the frames upward to its parent broker. Every record keeps its daemon's
-// (producer, seq) identity. A message that is not a valid frame is a parse
-// error: acked and dropped, nothing forwarded.
+// (producer, seq) identity. A message that is not a valid frame, or whose
+// records do not parse (AggFrame::host_log), is a parse error: acked and
+// dropped alone, nothing forwarded.
 //
 // Delivery: at-least-once per tier. Child deliveries are acked only after
 // the coalesced frame is safely published upward (or taken into the local

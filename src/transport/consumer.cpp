@@ -1,6 +1,6 @@
 #include "transport/consumer.hpp"
 
-#include <stdexcept>
+#include <exception>
 
 #include "transport/frame.hpp"
 #include "util/log.hpp"
@@ -76,10 +76,7 @@ void Consumer::run() {
       // Every message is one host's frame: N records behind one header,
       // each under its (producer, seq) identity.
       const AggFrame frame = AggFrame::of_message(*msg);
-      collect::HostLog chunk = collect::HostLog::parse(frame.payload);
-      if (chunk.records.size() != frame.seqs.size()) {
-        throw std::invalid_argument("record/seq count mismatch");
-      }
+      collect::HostLog chunk = frame.host_log();
       // Atomic check-and-append under one archive lock: a redelivered
       // record is suppressed here, never double-written.
       std::vector<char> fresh_mask;

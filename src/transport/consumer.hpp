@@ -11,9 +11,10 @@
 // RawArchive::append_unique — one atomic check-and-append, so a crash
 // between the archive write and the ack can neither lose nor
 // double-archive a record. A message that is not a valid frame, or whose
-// record count differs from its seq count, is malformed: counted as a
-// parse error, acked and dropped. On start the consumer recovers the queue
-// (reclaiming a dead predecessor's unacked deliveries).
+// records do not parse or differ in count from its seqs
+// (AggFrame::host_log, the aggregator's rule too), is malformed: counted
+// as a parse error, acked and dropped. On start the consumer recovers the
+// queue (reclaiming a dead predecessor's unacked deliveries).
 #pragma once
 
 #include <atomic>

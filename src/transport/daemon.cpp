@@ -18,9 +18,11 @@ Outbox::Outbox(Broker& target, std::string producer, std::string_view site,
       faults_(std::move(faults)) {}
 
 /// Retry backoff: the first retry waits kBackoffBase, and each later one
-/// doubles the wait up to kBackoffMax.
+/// doubles the wait up to kBackoffMax. Under a fault plan each wait is
+/// randomized by +/- kJitter of itself.
 constexpr util::SimTime kBackoffBase = util::kSecond;
 constexpr util::SimTime kBackoffMax = 60 * util::kSecond;
+constexpr double kJitter = 0.1;
 
 bool Outbox::try_publish(const Entry& entry, util::SimTime now,
                          std::uint64_t slot_base) {
@@ -34,10 +36,10 @@ bool Outbox::try_publish(const Entry& entry, util::SimTime now,
       // simulation does not advance global time, but the cost is accounted
       // so benches can report it.
       util::SimTime wait = backoff;
-      if (faults_ && policy_.jitter > 0.0) {
+      if (faults_) {
         const double u = faults_->uniform(site_, producer_, salt);
         wait += static_cast<util::SimTime>(static_cast<double>(wait) *
-                                           policy_.jitter * (2.0 * u - 1.0));
+                                           kJitter * (2.0 * u - 1.0));
       }
       backoff = std::min(backoff * 2, kBackoffMax);
       util::MutexLock lock(mu_);

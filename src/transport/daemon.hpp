@@ -38,11 +38,10 @@ namespace tacc::transport {
 /// "stats.h", and AggregationTree binds "stats.*" on every broker.
 inline constexpr std::string_view kRoutingPrefix = "stats.";
 
-/// Publish retry/backoff tuning. Backoff is virtual (accounted, not slept):
+/// Publish retry/spool tuning. Backoff is virtual (accounted, not slept):
 /// the simulated daemon retries within one collection tick.
 struct RetryPolicy {
   int max_attempts = 4;          // publish attempts per record
-  double jitter = 0.1;           // backoff randomized by +/- this fraction
   std::size_t spool_limit = 100000;  // max records spooled locally
 };
 

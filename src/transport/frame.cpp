@@ -141,6 +141,14 @@ std::string AggFrame::serialize() const {
   return out;
 }
 
+collect::HostLog AggFrame::host_log() const {
+  collect::HostLog log = collect::HostLog::parse(payload);
+  if (log.records.size() != seqs.size()) {
+    malformed("record/seq count mismatch");
+  }
+  return log;
+}
+
 AggFrame AggFrame::parse(std::string_view body) {
   AggFrame f;
   f.payload = std::string(body.substr(parse_meta(body, f)));

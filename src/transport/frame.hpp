@@ -17,9 +17,9 @@
 // coalescing, so the root's exactly-once dedup and latency accounting see
 // exactly what they would have seen from N individual messages.
 // `header_len` ends the header where collect::HostLog::parse_header does,
-// which lets an upper tier merge two frames of the same host without
-// re-parsing the schema header. A body that is not a valid frame is
-// malformed at every reader.
+// which lets an upper tier merge two frames of the same host by their
+// header bytes. A body that is not a valid frame, or whose records do
+// not parse (host_log()), is malformed at every reader.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "collect/rawfile.hpp"
 #include "transport/broker.hpp"
 #include "util/clock.hpp"
 
@@ -48,6 +49,13 @@ struct AggFrame {
   static AggFrame parse(std::string_view body);
 
   std::string serialize() const;
+
+  /// The payload parsed into its host log. Throws std::invalid_argument if
+  /// the payload does not parse or does not hold one record per seq. The
+  /// record rule of every reader: the aggregator checks a frame with it
+  /// before merging it into the host's pending frame, and the consumer
+  /// archives what it returns.
+  collect::HostLog host_log() const;
 
   /// The frame a message carries, the message's delay added to every
   /// record's. Moves the body out of `msg`. Throws std::invalid_argument

@@ -441,12 +441,22 @@ TEST(AggregationTree, DeliversEveryRecordExactlyOnceInOrder) {
   consumer.stop();
 }
 
+/// A frame of one for host c1 whose data row is one value short of the
+/// schema's four: the frame itself is well formed, its record is not.
+std::string short_row_frame(std::uint64_t seq, util::SimTime t) {
+  auto rec = make_synth_record(t, seq);
+  rec.blocks.at(0).values.pop_back();
+  return frame_of_one("c1", seq, make_synth_log("c1").serialize_header(),
+                      rec);
+}
+
 /// Publishes, under host c1's delivery identities, bodies that every
 /// reader must refuse: a plain daemon chunk (no frame), two same-window
-/// frames with header_len 0, and a frame whose header_len cuts a schema
-/// line. An aggregator that took the two header_len-0 frames would
-/// coalesce them behind an empty header, and the consumer would then drop
-/// the merged frame and both records with it. Returns the count.
+/// frames with header_len 0, a frame whose header_len cuts a schema
+/// line, and a valid frame whose data row is one value short. An
+/// aggregator that took the two header_len-0 frames would coalesce them
+/// behind an empty header, and the consumer would then drop the merged
+/// frame and both records with it. Returns the count.
 std::size_t publish_misframed(transport::Broker& broker) {
   const std::string header = make_synth_log("c1").serialize_header();
   const auto chunk = [&](std::uint64_t i) {
@@ -458,7 +468,8 @@ std::size_t publish_misframed(transport::Broker& broker) {
         .serialize();
   };
   const std::vector<std::string> bodies = {
-      chunk(0), frame(1, 0), frame(2, 0), frame(3, header.find("\n!") + 4)};
+      chunk(0), frame(1, 0), frame(2, 0), frame(3, header.find("\n!") + 4),
+      short_row_frame(5, kStart + 4 * util::kMinute)};
   for (std::size_t i = 0; i < bodies.size(); ++i) {
     transport::PublishInfo info;
     info.producer = "c1";
@@ -516,6 +527,59 @@ TEST(Aggregator, RefusesBodiesThatAreNotValidFrames) {
   EXPECT_EQ(parent.stats().published, 0u);
   EXPECT_EQ(child.depth(kQueue), 0u);
   EXPECT_EQ(child.unacked_depth(kQueue), 0u);
+}
+
+TEST(Aggregator, MalformedRecordSparesTheHostsGoodFrames) {
+  // Two good frames of one for c1 around one whose data row is short, all
+  // in one window: the aggregator refuses the bad frame alone, and the
+  // good records coalesce and reach the archive.
+  transport::Broker child;
+  child.declare_queue(kQueue);
+  child.bind(kQueue, "stats.*");
+  transport::Broker parent;
+  parent.declare_queue(kQueue);
+  parent.bind(kQueue, "stats.*");
+  const std::string header = make_synth_log("c1").serialize_header();
+  const std::vector<std::string> bodies = {
+      frame_of_one("c1", 1, header, make_synth_record(kStart, 10)),
+      short_row_frame(2, kStart + util::kMinute),
+      frame_of_one("c1", 3, header,
+                   make_synth_record(kStart + 2 * util::kMinute, 30))};
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    transport::PublishInfo info;
+    info.producer = "c1";
+    info.seq = i + 1;
+    info.now = kStart + static_cast<util::SimTime>(i) * util::kMinute;
+    ASSERT_EQ(child.publish("stats.c1", bodies[i], info), 1u);
+  }
+
+  transport::RawArchive archive;
+  transport::Consumer consumer(parent, archive, kQueue);
+  transport::Aggregator agg("agg-test", {&child}, parent, kQueue, {},
+                            nullptr);
+  using namespace std::chrono_literals;
+  for (int spin = 0; spin < 5000 && !agg.idle(); ++spin) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(agg.idle()) << "aggregator never went idle";
+  agg.stop();
+  consumer.drain();
+
+  const auto s = agg.stats();
+  EXPECT_EQ(s.consumed, 3u);
+  EXPECT_EQ(s.parse_errors, 1u);
+  EXPECT_EQ(s.records_in, 2u);
+  EXPECT_EQ(s.frames_out, 1u);
+  EXPECT_EQ(s.records_out, 2u);
+  EXPECT_EQ(child.unacked_depth(kQueue), 0u);
+  EXPECT_EQ(consumer.parse_errors(), 0u);
+  const auto log = archive.log("c1");
+  ASSERT_EQ(log.records.size(), 2u);
+  EXPECT_EQ(log.records[0].time, kStart);
+  EXPECT_EQ(log.records[0].blocks.at(0).values.at(0), 10u);
+  EXPECT_EQ(log.records[1].time, kStart + 2 * util::kMinute);
+  EXPECT_EQ(log.records[1].blocks.at(0).values.at(0), 30u);
+  consumer.stop();
 }
 
 // ---------------------------------------------------------------------------
